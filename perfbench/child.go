@@ -120,14 +120,19 @@ type inferJob struct {
 	Models []string `json:"models"`
 	// Images and Digests are per model: the images that model infers and
 	// the reference transcript digest of each.
-	Images         [][]string `json:"images"`
-	Digests        [][]string `json:"digests"`
-	BatchSeconds   float64    `json:"batch_s"`
-	LatencySeconds float64    `json:"latency_s"`
-	// Traced replaces the two phases with tracedPasses untraced and as
-	// many traced batch passes, alternating.
+	Images  [][]string `json:"images"`
+	Digests [][]string `json:"digests"`
+	// Seconds is the measured window: batch passes and latency rounds
+	// alternate until it is over.
+	Seconds float64 `json:"seconds"`
+	// Traced replaces the rounds with tracedPasses untraced and as many
+	// traced batch passes, alternating.
 	Traced bool `json:"traced"`
 }
+
+// minRounds is the least number of rounds (one batch pass and one latency
+// round each) an untraced run makes, however short its window.
+const minRounds = 3
 
 // tracedPasses is the number of batch passes on each side of the traced
 // run's overhead comparison; even, so each side goes first equally often.
@@ -135,9 +140,12 @@ const tracedPasses = 4
 
 // inferReport is what the inference process measured.
 type inferReport struct {
-	PassSeconds    []float64 `json:"pass_s"`
-	PassCPUSeconds []float64 `json:"pass_cpu_s"`
-	BinsPerPass    int       `json:"bins_per_pass"`
+	// PassSeconds and PassCPUSeconds hold, per model, the wall and CPU
+	// time of each of its batches: one InferBatch over that model's images
+	// per pass.
+	PassSeconds    [][]float64 `json:"pass_s"`
+	PassCPUSeconds [][]float64 `json:"pass_cpu_s"`
+	BinsPerPass    int         `json:"bins_per_pass"`
 	// LatencyMs holds each binary's single-binary latencies.
 	LatencyMs  [][]float64 `json:"latency_ms"`
 	Ops        int         `json:"ops"`
@@ -196,11 +204,12 @@ func inferChild(in io.Reader, out io.Writer) error {
 		rep.BinsPerPass += len(images[i])
 	}
 
-	// pass parses every image and runs one InferBatch per model; only the
-	// parse and the batch calls are timed, the transcript check follows.
-	pass := func(binCtx func(i int) context.Context) time.Duration {
-		var took time.Duration
+	// pass parses every image and runs one InferBatch per model, and
+	// returns each model's wall and CPU time; only the parse and the batch
+	// calls are timed, the transcript check follows.
+	pass := func(binCtx func(i int) context.Context) (took, cpu []float64) {
 		for mi, m := range models {
+			c0 := readUsage().CPUSeconds
 			t0 := time.Now()
 			bins := make([]*elfx.Binary, len(images[mi]))
 			errs := make([]error, len(bins))
@@ -208,7 +217,8 @@ func inferChild(in io.Reader, out io.Writer) error {
 				bins[i], errs[i] = elfx.Read(img)
 			}
 			res, err := m.InferBatchOpts(ctx, bins, core.BatchOptions{BinContext: binCtx})
-			took += time.Since(t0)
+			took = append(took, time.Since(t0).Seconds())
+			cpu = append(cpu, readUsage().CPUSeconds-c0)
 			for i := range bins {
 				switch {
 				case errs[i] != nil:
@@ -220,7 +230,7 @@ func inferChild(in io.Reader, out io.Writer) error {
 				}
 			}
 		}
-		return took
+		return took, cpu
 	}
 
 	// Warm-up, untimed and unchecked: the GEMM kernels, the scratch arenas
@@ -232,21 +242,25 @@ func inferChild(in io.Reader, out io.Writer) error {
 			}
 		}
 	}
+	rep.PassSeconds = make([][]float64, len(models))
+	rep.PassCPUSeconds = make([][]float64, len(models))
 	if job.Traced {
 		traced(rep, pass)
 	} else {
+		// Rounds of one batch pass and one latency round over the corpus
+		// (InferImageCtx one binary at a time, interleaving the two
+		// models) until the window is over. Alternating spreads both
+		// phases' samples over the whole window, so a burst of load from
+		// another tenant of the host cannot cover all of either.
+		rep.LatencyMs = make([][]float64, rep.BinsPerPass)
 		u0 := readUsage()
 		start := time.Now()
-		for len(rep.PassSeconds) < 3 || time.Since(start).Seconds() < job.BatchSeconds {
-			c0 := readUsage().CPUSeconds
-			rep.PassSeconds = append(rep.PassSeconds, pass(nil).Seconds())
-			rep.PassCPUSeconds = append(rep.PassCPUSeconds, readUsage().CPUSeconds-c0)
-		}
-		// Latency: rounds over the corpus, interleaving the two models,
-		// until every binary has at least three samples and time is up.
-		rep.LatencyMs = make([][]float64, rep.BinsPerPass)
-		start = time.Now()
-		for round := 0; round < 3 || time.Since(start).Seconds() < job.LatencySeconds; round++ {
+		for round := 0; round < minRounds || time.Since(start).Seconds() < job.Seconds; round++ {
+			took, cpu := pass(nil)
+			for mi := range models {
+				rep.PassSeconds[mi] = append(rep.PassSeconds[mi], took[mi])
+				rep.PassCPUSeconds[mi] = append(rep.PassCPUSeconds[mi], cpu[mi])
+			}
 			for i := 0; i < rep.BinsPerPass; i++ {
 				mi, ii := i%len(models), i/len(models)
 				if ii >= len(images[mi]) {
@@ -267,14 +281,18 @@ func inferChild(in io.Reader, out io.Writer) error {
 // give the runtime counters; the traced ones run with a collector
 // installed and hand each binary a root span, whose stage spans give the
 // binary's wall time inside the batch.
-func traced(rep *inferReport, pass func(func(int) context.Context) time.Duration) {
+func traced(rep *inferReport, pass func(func(int) context.Context) (took, cpu []float64)) {
 	workers := par.Workers(0)
-	var busy, wall time.Duration
+	var busy time.Duration
+	var wall float64
 	var used usage
 	untraced := func() {
 		trace.SetDefault(nil)
 		u0 := readUsage()
-		rep.PassSeconds = append(rep.PassSeconds, pass(nil).Seconds())
+		took, _ := pass(nil)
+		for mi, d := range took {
+			rep.PassSeconds[mi] = append(rep.PassSeconds[mi], d)
+		}
 		u := readUsage().sub(u0)
 		used.CPUSeconds += u.CPUSeconds
 		used.GCCPU += u.GCCPU
@@ -293,7 +311,7 @@ func traced(rep *inferReport, pass func(func(int) context.Context) time.Duration
 		trace.SetDefault(col)
 		var mu sync.Mutex // BinContext runs on the pool's goroutines
 		var roots []*trace.Span
-		d := pass(func(int) context.Context {
+		took, _ := pass(func(int) context.Context {
 			_, sp := trace.Start(context.Background(), "bench.binary")
 			mu.Lock()
 			roots = append(roots, sp)
@@ -305,15 +323,15 @@ func traced(rep *inferReport, pass func(func(int) context.Context) time.Duration
 			sp.End()
 			busy += stageExtent(col.Get(sp.TraceID()))
 		}
-		rep.TracedPassSeconds = append(rep.TracedPassSeconds, d.Seconds())
-		wall += d
+		rep.TracedPassSeconds = append(rep.TracedPassSeconds, sum(took))
+		wall += sum(took)
 		if k%2 == 1 {
 			untraced()
 		}
 	}
 	rep.Usage = used
 	if wall > 0 {
-		rep.BusyRatio = busy.Seconds() / (wall.Seconds() * float64(workers))
+		rep.BusyRatio = busy.Seconds() / (wall * float64(workers))
 	}
 }
 

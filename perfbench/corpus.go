@@ -17,8 +17,9 @@ const setupReps = 3
 // corpusSetup is everything corpus-tree builds before timing.
 type corpusSetup struct {
 	models []*model     // per arch
-	progs  [][]*program // per arch
-	images [][]string   // per arch: image files
+	progs  [][]*program // per arch: the whole corpus
+	timed  [][]*program // per arch: the timedApps programs
+	images [][]string   // per arch: image files of the timed programs
 }
 
 // setupCorpus generates the corpus, trains one tree model per arch, and
@@ -30,7 +31,8 @@ func setupCorpus(ctx context.Context, o options) (*corpusSetup, error) {
 	}
 	s := &corpusSetup{progs: progs}
 	for ai, arch := range arches {
-		paths, err := writeImages(filepath.Join(o.workdir, "images", arch), progs[ai])
+		s.timed = append(s.timed, pick(progs[ai], timedApps))
+		paths, err := writeImages(filepath.Join(o.workdir, "images", arch), s.timed[ai])
 		if err != nil {
 			return nil, err
 		}
@@ -76,19 +78,19 @@ func runCorpus(ctx context.Context, o options) error {
 	}
 	rep := newReport(o.workload, o.seed, o.seconds, o.traced)
 	var cats []*core.CATI
-	refs := make([][]*transcript, len(arches))
-	job := inferJob{
-		BatchSeconds:   0.55 * float64(o.seconds),
-		LatencySeconds: 0.45 * float64(o.seconds),
-		Traced:         o.traced,
-	}
+	var all []*transcript                      // the whole corpus, for var_accuracy
+	refs := make([][]*transcript, len(arches)) // the timed programs
+	job := inferJob{Seconds: float64(o.seconds), Traced: o.traced}
 	for ai := range arches {
 		m := s.models[ai]
 		rep.hdr.Models = append(rep.hdr.Models, m.Info)
 		cats = append(cats, m.CATI)
-		if refs[ai], err = reference(ctx, m.CATI, s.progs[ai]); err != nil {
+		ts, err := reference(ctx, m.CATI, s.progs[ai])
+		if err != nil {
 			return err
 		}
+		all = append(all, ts...)
+		refs[ai] = pick(ts, timedApps)
 		digests := make([]string, len(refs[ai]))
 		for i, t := range refs[ai] {
 			digests[i] = t.Digest
@@ -118,7 +120,7 @@ func runCorpus(ctx context.Context, o options) error {
 
 	if o.traced {
 		log := &spanLog{epoch: time.Now()}
-		lt, err := replayLayers(ctx, cats, s.progs, refs, log)
+		lt, err := replayLayers(ctx, cats, s.timed, refs, log)
 		if err != nil {
 			return err
 		}
@@ -130,9 +132,9 @@ func runCorpus(ctx context.Context, o options) error {
 		gemmShapes(rep, cats[0].Pipeline)
 		rep.add("core.batch.busy_ratio", ir.BusyRatio, "ratio")
 		rep.add("runtime.gc_cpu_ratio", ir.Usage.gcRatio(), "ratio")
-		ops := float64(len(ir.PassSeconds) * ir.BinsPerPass)
+		ops := float64(len(ir.PassSeconds[0]) * ir.BinsPerPass)
 		rep.add("runtime.alloc_mb_per_op", ir.Usage.AllocBytes/1e6/ops, "MB")
-		untraced := float64(ir.BinsPerPass) / median(ir.PassSeconds)
+		untraced := float64(ir.BinsPerPass) / median(passTotals(ir.PassSeconds))
 		traced := float64(ir.BinsPerPass) / median(ir.TracedPassSeconds)
 		rep.add("trace.overhead_ratio", (untraced-traced)/untraced, "ratio")
 		if lt.mismatches > 0 {
@@ -150,10 +152,11 @@ func runCorpus(ctx context.Context, o options) error {
 
 	// The host is shared, and other tenants slow the GEMM-heavy tree
 	// models in bursts. Each estimate is therefore the least disturbed
-	// repeat: the fastest batch pass, the cheapest pass in CPU, and each
-	// binary's fastest single-binary run, with percentiles taken across
-	// the corpus. The medians are printed beside them.
-	ops := len(ir.PassSeconds) * ir.BinsPerPass
+	// repeat: each arch's fastest batch, each arch's cheapest batch in
+	// CPU, and each binary's fastest single-binary run, with percentiles
+	// taken across the timed binaries. The medians are printed beside them.
+	passes := len(ir.PassSeconds[0])
+	ops := passes * ir.BinsPerPass
 	var best []float64
 	for _, lat := range ir.LatencyMs {
 		ops += len(lat)
@@ -161,12 +164,17 @@ func runCorpus(ctx context.Context, o options) error {
 			best = append(best, percentile(append([]float64(nil), lat...), 0))
 		}
 	}
-	bins := float64(ir.BinsPerPass) / percentile(append([]float64(nil), ir.PassSeconds...), 0)
+	var batchS, cpuS float64
+	for mi := range ir.PassSeconds {
+		batchS += percentile(append([]float64(nil), ir.PassSeconds[mi]...), 0)
+		cpuS += percentile(append([]float64(nil), ir.PassCPUSeconds[mi]...), 0)
+	}
+	bins := float64(ir.BinsPerPass) / batchS
 	p50 := percentile(append([]float64(nil), best...), 0.50)
 	p95 := percentile(append([]float64(nil), best...), 0.95)
-	cpu := percentile(append([]float64(nil), ir.PassCPUSeconds...), 0) / float64(ir.BinsPerPass)
+	cpu := cpuS / float64(ir.BinsPerPass)
 	vucs := 0
-	for _, ps := range s.progs {
+	for _, ps := range s.timed {
 		for _, p := range ps {
 			vucs += p.VUCs
 		}
@@ -180,15 +188,35 @@ func runCorpus(ctx context.Context, o options) error {
 	rep.add("tail_ms", p95, "ms")
 	rep.add("cpu_ms_per_op", 1000*cpu, "ms")
 	rep.add("rss_peak_mb", ir.Usage.MaxRSSMB, "MB")
-	rep.add("var_accuracy", accuracy(append(append([]*transcript(nil), refs[0]...), refs[1]...), nil), "ratio")
+	rep.add("var_accuracy", accuracy(all, nil), "ratio")
 	rep.add("error_ratio", float64(failed)/float64(ops), "ratio")
-	rep.add("bins_per_s_median_pass", float64(ir.BinsPerPass)/median(ir.PassSeconds), "1/s")
+	rep.add("bins_per_s_median_pass", float64(ir.BinsPerPass)/median(passTotals(ir.PassSeconds)), "1/s")
 	rep.add("cpu_ms_per_op_all_passes", 1000*ir.Usage.CPUSeconds/float64(ops), "ms")
-	rep.add("batch_passes", float64(len(ir.PassSeconds)), "count")
-	rep.add("latency_samples", float64(ops-len(ir.PassSeconds)*ir.BinsPerPass), "count")
+	rep.add("batch_passes", float64(passes), "count")
+	rep.add("latency_samples", float64(ops-passes*ir.BinsPerPass), "count")
 	rep.add("corpus_binaries", float64(ir.BinsPerPass), "count")
 	rep.add("corpus_vucs", float64(vucs), "count")
 	return rep.write(os.Stdout, correct, ops, failed)
+}
+
+// pick returns xs[i] for each i in idx.
+func pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = xs[i]
+	}
+	return out
+}
+
+// passTotals adds the per-model batch times of each pass.
+func passTotals(perModel [][]float64) []float64 {
+	out := make([]float64, len(perModel[0]))
+	for _, times := range perModel {
+		for i, t := range times {
+			out[i] += t
+		}
+	}
+	return out
 }
 
 // partsGapLimit is the parts-sum gate: the layers' self times must account

@@ -153,6 +153,13 @@ var arches = []string{"x86_64", "rv64"}
 // in the same proportion for every seed.
 func corpusTarget(a int) int { return 450 + 36*a }
 
+// timedApps are the programs of each arch that corpus-tree times: every
+// third TestApps profile, so the sizes still span the target range and a%4
+// covers O0–O3 once. A small timed set gives each binary many repeats in a
+// run, and its fastest repeat is what the run reports; var_accuracy is
+// taken over the whole corpus, so it does not hang on four draws per arch.
+var timedApps = []int{0, 3, 6, 9}
+
 // corpusPrograms generates the corpus-tree inputs: the twelve synth.TestApps
 // profiles for each architecture, at O0–O3 in rotation. Result [i] holds
 // the programs of arches[i].

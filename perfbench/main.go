@@ -3,7 +3,7 @@
 // transcript, prints each measurement as a (workload, metric, value, unit)
 // row, and ends with one JSON result line:
 //
-//	bash perfbench/run.sh --workload corpus-tree --seed 1 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload corpus-tree --seed 1 --seconds 40 --trace 0
 //
 // Workloads:
 //
@@ -55,7 +55,7 @@ func run(args []string) error {
 	trace := 0
 	fs.StringVar(&o.workload, "workload", "", "workload: corpus-tree or serve-cold")
 	fs.Int64Var(&o.seed, "seed", 1, "workload seed: the same seed gives the same inputs")
-	fs.IntVar(&o.seconds, "seconds", 20, "measured seconds")
+	fs.IntVar(&o.seconds, "seconds", 40, "measured seconds")
 	fs.IntVar(&trace, "trace", 0, "1: traced run reporting per-layer metrics")
 	fs.StringVar(&o.workdir, "workdir", ".bench_build/work", "directory for generated inputs, models and span dumps")
 	if err := fs.Parse(args); err != nil {

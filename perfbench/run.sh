@@ -2,7 +2,7 @@
 # Builds the benchmark from source inside the checkout and runs one
 # workload. Run it from the repository root:
 #
-#   bash perfbench/run.sh --workload corpus-tree --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload corpus-tree --seed 1 --seconds 40 --trace 0
 #
 # Everything the build and the run write stays under the build directory
 # ($CARGO_TARGET_DIR, default .bench_build): the Go build cache, temporary

@@ -25,6 +25,15 @@ func median(xs []float64) float64 {
 	return percentile(append([]float64(nil), xs...), 0.5)
 }
 
+// sum adds xs.
+func sum(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
 // ms converts a duration to float milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
@@ -88,6 +97,20 @@ func summarize(recs []reqRecord) probeStats {
 	st.LateFirst = lateMedian(recs[:min(q, len(recs))])
 	st.LateLast = lateMedian(recs[max(0, len(recs)-q):])
 	return st
+}
+
+// windowedP99 splits a phase's records, in due order, into n consecutive
+// windows and returns the median of the windows' p99 latencies. A burst of
+// load from another tenant of the host lifts the p99 of the windows it
+// falls in and leaves the median window alone.
+func windowedP99(recs []reqRecord, n int) float64 {
+	var p99s []float64
+	for w := 0; w < n; w++ {
+		if win := recs[w*len(recs)/n : (w+1)*len(recs)/n]; len(win) > 0 {
+			p99s = append(p99s, summarize(win).P99)
+		}
+	}
+	return median(p99s)
 }
 
 // lateMedian is the median send lateness of recs; a request never sent is
