@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the pre-commit gate: lint (gofmt
 # + vet + stderr-print hygiene), build, full test suite, coverage summary,
-# the race detector over the concurrent packages, and a short fuzz smoke
-# over the hostile-input parsers.
+# the race detector over the concurrent packages, a short fuzz smoke over
+# the hostile-input parsers, and a short answer-checked perfbench run.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -10,9 +10,9 @@ RACE_PKGS = ./internal/par ./internal/obs ./internal/telemetry ./internal/trace 
 # corpus always runs in full via plain `go test`.
 FUZZTIME ?= 5s
 
-.PHONY: check build test lint vet race fuzz cover purego bench bench-json bench-serve bench-fleet bench-kernels bench-kernels-smoke bench-trace bench-trace-smoke bench-bulk bench-bulk-smoke
+.PHONY: check build test lint vet race fuzz cover purego bench bench-json bench-fleet bench-kernels bench-kernels-smoke bench-trace bench-trace-smoke bench-bulk bench-bulk-smoke perfbench-check
 
-check: lint build test purego cover race fuzz bench-kernels-smoke bench-trace-smoke bench-bulk-smoke
+check: lint build test purego cover race fuzz bench-kernels-smoke bench-trace-smoke bench-bulk-smoke perfbench-check
 
 # lint fails when any file is unformatted (gofmt -l prints it), vet
 # complains, or a CLI writes raw diagnostics to stderr instead of routing
@@ -86,11 +86,6 @@ bench:
 bench-json:
 	$(GO) run ./cmd/catibench -bench-json BENCH_parallel.json
 
-# Closed-loop load sweep over the catiserve configurations (result cache
-# off/on x micro-batching off/on): RPS and latency percentiles per point.
-bench-serve:
-	$(GO) run ./cmd/catibench -serve-bench BENCH_serve.json
-
 # Sharded fleet router sweep under fault injection (1..3 replicas):
 # fails unless every client request succeeds while replicas are slowed,
 # truncated, refused and killed mid-run. Writes BENCH_fleet.json.
@@ -128,3 +123,21 @@ bench-bulk:
 # one kill-and-resume point, nothing written into the tree.
 bench-bulk-smoke:
 	$(GO) run ./cmd/catibench -bulk-bench /dev/null -bulk-smoke
+
+# The benchmark is its own Go module (perfbench/), which `go list ./...`
+# at the root skips, so an API change it depends on or a changed answer
+# would otherwise surface only when the benchmark runs. This target vets
+# and short-tests the module, then runs each workload for 2 s with
+# tracing on (which adds the serve parts-sum gate). perfbench exits 0 even
+# on a wrong answer, so the last line of each run must read
+# "correct":true.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+	@for w in corpus-tree serve-cold; do \
+		out="$$(bash perfbench/run.sh --workload $$w --seconds 2 --trace 1)" || exit 1; \
+		last="$$(printf '%s\n' "$$out" | tail -n 1)"; \
+		case "$$last" in \
+		*'"correct":true'*) echo "perfbench $$w: correct" ;; \
+		*) echo "perfbench $$w: answers not correct:"; echo "$$last"; exit 1 ;; \
+		esac; \
+	done

@@ -126,7 +126,6 @@ func newBulkServer(model, dir string, workers int, log *slog.Logger) (*serve.Ser
 		ModelPath:     model,
 		WatchInterval: -1,
 		CacheSize:     -1, // every binary computes: the sweep measures drain, not cache
-		MaxBatch:      1,
 		BulkDir:       dir,
 		BulkWorkers:   workers,
 		Log:           log,

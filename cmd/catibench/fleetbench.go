@@ -182,7 +182,6 @@ func fleetBenchPoint(ctx context.Context, log *slog.Logger, model string, images
 		LocalFallbacks: st.LocalFallbacks,
 	}
 	out.Name = fmt.Sprintf("fleet/replicas=%d,chaos=%v", n, inject)
-	out.Cache = true
 	return out, nil
 }
 

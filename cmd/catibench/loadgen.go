@@ -25,8 +25,8 @@ import (
 	"repro/internal/word2vec"
 )
 
-// serveRecord is one line of BENCH_serve.json: the closed-loop load
-// result for one catiserve configuration.
+// serveRecord is the closed-loop load result for one catiserve (or
+// fleet router) configuration.
 type serveRecord struct {
 	Name        string  `json:"name"`
 	Concurrency int     `json:"concurrency"`
@@ -41,8 +41,6 @@ type serveRecord struct {
 	P50Ms   float64 `json:"p50_ms"`
 	P95Ms   float64 `json:"p95_ms"`
 	P99Ms   float64 `json:"p99_ms"`
-	Cache   bool    `json:"cache"`
-	Batch   bool    `json:"batch"`
 	ModelFP string  `json:"model,omitempty"`
 }
 
@@ -207,85 +205,4 @@ func trainLoadgenModel(log *slog.Logger) (model string, cleanup func(), err erro
 		return "", nil, err
 	}
 	return model, func() { os.RemoveAll(dir) }, nil
-}
-
-// runServeBench is the self-contained sweep behind `catibench
-// -serve-bench FILE`: train a small model in-process, then measure the
-// 2×2 of {result cache off/on} × {micro-batching off/on} against a
-// loopback catiserve, writing one JSON record per configuration.
-func runServeBench(ctx context.Context, log *slog.Logger, path string, concurrency int, duration time.Duration) error {
-	model, cleanup, err := trainLoadgenModel(log)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	images, err := loadgenImages(6)
-	if err != nil {
-		return err
-	}
-
-	configs := []struct {
-		name         string
-		cache, batch bool
-	}{
-		{"serve/cache=off,batch=off", false, false},
-		{"serve/cache=off,batch=on", false, true},
-		{"serve/cache=on,batch=off", true, false},
-		{"serve/cache=on,batch=on", true, true},
-	}
-	var records []serveRecord
-	for _, cfg := range configs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sc := serve.Config{ModelPath: model, WatchInterval: -1, Log: log}
-		if cfg.cache {
-			sc.CacheSize = 256
-		} else {
-			sc.CacheSize = -1
-		}
-		if cfg.batch {
-			sc.MaxBatch = 8
-			sc.Linger = 2 * time.Millisecond
-		} else {
-			sc.MaxBatch = 1
-		}
-		// Admission wide open relative to the load, so the sweep measures
-		// cache/batch effects, not shedding.
-		sc.MaxInFlight = 2 * concurrency
-		sc.MaxQueue = 2 * concurrency
-
-		srv, err := serve.New(sc)
-		if err != nil {
-			return err
-		}
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			return err
-		}
-		rec, err := runLoadgen(ctx, "http://"+srv.Addr+"/v1/infer", images, concurrency, duration)
-		if cerr := srv.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		rec.Name = cfg.name
-		rec.Cache = cfg.cache
-		rec.Batch = cfg.batch
-		rec.ModelFP = srv.Registry().Active().Fingerprint
-		records = append(records, rec)
-		log.Info("serve bench point", "name", rec.Name, "rps", fmt.Sprintf("%.1f", rec.RPS),
-			"p50_ms", fmt.Sprintf("%.2f", rec.P50Ms), "p95_ms", fmt.Sprintf("%.2f", rec.P95Ms),
-			"cached", rec.Cached, "errors", rec.Errors)
-	}
-
-	out, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Info("wrote serve bench records", "path", path, "records", len(records))
-	return nil
 }

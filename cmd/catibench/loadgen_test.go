@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,46 +69,5 @@ func TestRunLoadgen(t *testing.T) {
 
 	if _, err := runLoadgen(context.Background(), stub.URL, nil, 1, time.Millisecond); err == nil {
 		t.Fatal("no images should be an error")
-	}
-}
-
-// TestServeBenchSweep runs the full self-contained sweep at a tiny
-// duration: real model, real catiserve per configuration, real HTTP.
-func TestServeBenchSweep(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := run([]string{"-serve-bench", path, "-serve-concurrency", "4", "-serve-duration", "300ms"}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var records []serveRecord
-	if err := json.Unmarshal(blob, &records); err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 4 {
-		t.Fatalf("want 4 records (2x2 sweep), got %d", len(records))
-	}
-	seen := map[string]bool{}
-	for _, r := range records {
-		seen[r.Name] = true
-		if r.Requests == 0 || r.RPS <= 0 || r.ModelFP == "" {
-			t.Errorf("bad record: %+v", r)
-		}
-		if r.Cache && r.Cached == 0 {
-			t.Errorf("%s: cache enabled but no hits recorded", r.Name)
-		}
-		if !r.Cache && r.Cached != 0 {
-			t.Errorf("%s: cache disabled but hits recorded", r.Name)
-		}
-	}
-	for _, name := range []string{
-		"serve/cache=off,batch=off", "serve/cache=off,batch=on",
-		"serve/cache=on,batch=off", "serve/cache=on,batch=on",
-	} {
-		if !seen[name] {
-			t.Errorf("missing config %s", name)
-		}
 	}
 }

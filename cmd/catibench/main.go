@@ -10,18 +10,15 @@
 //	catibench ablation-embed ablation-flat crossisa
 //	catibench -bench-json BENCH_parallel.json [-workers N]
 //	catibench -bench-kernels BENCH_kernels.json [-bench-iters N]
-//	catibench -serve-bench BENCH_serve.json
 //	catibench -serve-url http://host:8090/v1/infer -serve-concurrency 16
 //	catibench -fleet-bench BENCH_fleet.json -chaos
 //	catibench -bulk-bench BENCH_bulk.json
 //
-// -serve-bench runs the self-contained catiserve sweep: it trains a
-// small model, starts a loopback service per configuration, and measures
-// the 2×2 of {result cache off/on} × {micro-batching off/on} under a
-// closed-loop load (-serve-concurrency clients for -serve-duration
-// each), writing RPS and p50/p95/p99 latency records to the file.
-// -serve-url points the same load generator at an already-running
-// catiserve instead and prints one record to stdout.
+// -serve-url points the closed-loop load generator (-serve-concurrency
+// clients for -serve-duration) at an already-running catiserve and
+// prints one record of RPS and p50/p95/p99 latency to stdout. The
+// uncached serve path's own benchmark is perfbench's serve-cold
+// workload.
 //
 // -fleet-bench measures the sharded fleet router (internal/fleet): for
 // each fleet size up to -fleet-replicas it starts that many loopback
@@ -61,10 +58,9 @@ func run(args []string) error {
 	benchJSON := fs.String("bench-json", "", "run the parallel-core benchmark and write JSON records to this file (e.g. BENCH_parallel.json), then exit")
 	benchKernels := fs.String("bench-kernels", "", "run the math-kernel sweep (portable/blocked/jit x f32/int8) and write JSON records to this file (e.g. BENCH_kernels.json), then exit")
 	benchIters := fs.Int("bench-iters", 5, "timed iterations per point for -bench-kernels")
-	serveBench := fs.String("serve-bench", "", "run the catiserve cache/batch sweep and write JSON records to this file (e.g. BENCH_serve.json), then exit")
 	serveURL := fs.String("serve-url", "", "load-test a running catiserve at this /v1/infer URL and print the JSON record, then exit")
-	serveConc := fs.Int("serve-concurrency", 8, "closed-loop clients for -serve-bench / -serve-url / -fleet-bench")
-	serveDur := fs.Duration("serve-duration", 3*time.Second, "measurement window per configuration for -serve-bench / -serve-url / -fleet-bench")
+	serveConc := fs.Int("serve-concurrency", 8, "closed-loop clients for -serve-url / -fleet-bench / -trace-bench")
+	serveDur := fs.Duration("serve-duration", 3*time.Second, "measurement window per configuration for -serve-url / -fleet-bench / -trace-bench")
 	fleetBench := fs.String("fleet-bench", "", "run the sharded-fleet router sweep (1 to -fleet-replicas loopback replicas behind a router) and write JSON records to this file (e.g. BENCH_fleet.json), then exit")
 	traceBench := fs.String("trace-bench", "", "run the tracing-overhead sweep (serve path with tracing off vs on, plus the disabled fast-path microbenchmark) and write JSON records to this file (e.g. BENCH_trace.json), then exit; fails if the disabled path costs over -trace-overhead-limit")
 	traceLimit := fs.Float64("trace-overhead-limit", 2.0, "maximum tracing-disabled overhead for -trace-bench, percent of request latency")
@@ -87,7 +83,7 @@ func run(args []string) error {
 	if *benchKernels != "" {
 		return runKernelBench(log, *benchKernels, *benchIters)
 	}
-	if *serveBench != "" || *serveURL != "" || *fleetBench != "" || *traceBench != "" || *bulkBench != "" {
+	if *serveURL != "" || *fleetBench != "" || *traceBench != "" || *bulkBench != "" {
 		ctx, stop := rt.Context()
 		defer stop()
 		if *bulkBench != "" {
@@ -98,9 +94,6 @@ func run(args []string) error {
 		}
 		if *fleetBench != "" {
 			return runFleetBench(ctx, log, *fleetBench, *serveConc, *serveDur, *fleetReplicas, *chaos)
-		}
-		if *serveBench != "" {
-			return runServeBench(ctx, log, *serveBench, *serveConc, *serveDur)
 		}
 		return runServeURL(ctx, log, *serveURL, *serveConc, *serveDur)
 	}

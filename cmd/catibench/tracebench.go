@@ -123,12 +123,10 @@ func runTraceBench(ctx context.Context, log *slog.Logger, path string, concurren
 	log.Info("disabled span fast path", "ns_per_span", fmt.Sprintf("%.1f", nsPerSpan))
 
 	// Cache off so every request runs the full pipeline (a warm cache
-	// would short-circuit the five stage spans and flatter the numbers);
-	// batching on, the production shape.
+	// would short-circuit the five stage spans and flatter the numbers).
 	mkConfig := func() serve.Config {
 		return serve.Config{
-			ModelPath: model, WatchInterval: -1, Log: log,
-			CacheSize: -1, MaxBatch: 8, Linger: 2 * time.Millisecond,
+			ModelPath: model, WatchInterval: -1, Log: log, CacheSize: -1,
 			MaxInFlight: 2 * concurrency, MaxQueue: 2 * concurrency,
 		}
 	}

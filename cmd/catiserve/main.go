@@ -6,7 +6,7 @@
 // Usage:
 //
 //	catiserve -model cati.model
-//	catiserve -model cati.model -addr :8090 -max-batch 16 -cache-size 4096
+//	catiserve -model cati.model -addr :8090 -max-inflight 8 -cache-size 4096
 //	catiserve -model cati.model -debug-addr localhost:6060 -log-format json
 //
 // The daemon answers on three endpoints:
@@ -162,8 +162,6 @@ func newDaemon(args []string) (*daemon, error) {
 		RetryAfter:       sv.RetryAfter,
 		MaxRetryAfter:    sv.MaxRetryAfter,
 		ReadyWatermark:   sv.ReadyWatermark,
-		MaxBatch:         sv.MaxBatch,
-		Linger:           sv.BatchLinger,
 		CacheSize:        sv.CacheSize,
 		BinaryTimeout:    sv.BinaryTimeout,
 		Retries:          sv.Retries,

@@ -271,13 +271,13 @@ func PrintTrace(w io.Writer, t *obs.Trace) {
 }
 
 // Serve carries the catiserve service flags: the listen address plus the
-// admission, micro-batching, result-cache, artifact-watch and drain
-// knobs of internal/serve. Defaults mirror serve.Config's documented
+// admission, result-cache, artifact-watch and drain knobs of
+// internal/serve. Defaults mirror serve.Config's documented
 // defaults, so `catiserve -model m` alone is a sensible deployment.
 type Serve struct {
 	// Addr is the -addr flag: the inference API listen address.
 	Addr string
-	// MaxInFlight is the -max-inflight flag (0: 2× batch, minimum 4).
+	// MaxInFlight is the -max-inflight flag (0: 16).
 	MaxInFlight int
 	// MaxQueue is the -max-queue flag (0: same as the in-flight bound).
 	MaxQueue int
@@ -292,11 +292,6 @@ type Serve struct {
 	// ReadyWatermark is the -ready-watermark flag: the admission queue
 	// depth at which /v1/readyz flips to 503.
 	ReadyWatermark int
-	// MaxBatch is the -max-batch flag (1 disables micro-batching).
-	MaxBatch int
-	// BatchLinger is the -batch-linger flag: how long a forming batch
-	// waits to fill.
-	BatchLinger time.Duration
 	// CacheSize is the -cache-size flag (negative disables the cache).
 	CacheSize int
 	// MaxBody is the -max-body flag: the upload size cap in bytes.
@@ -320,14 +315,12 @@ type Serve struct {
 func AddServe(fs *flag.FlagSet) *Serve {
 	s := &Serve{}
 	fs.StringVar(&s.Addr, "addr", "localhost:8090", "inference API listen address")
-	fs.IntVar(&s.MaxInFlight, "max-inflight", 0, "max concurrently executing requests (0: 2x max-batch, minimum 4)")
+	fs.IntVar(&s.MaxInFlight, "max-inflight", 0, "max concurrently executing requests (0: 16)")
 	fs.IntVar(&s.MaxQueue, "max-queue", 0, "max requests queued beyond the in-flight bound (0: same as max-inflight)")
 	fs.DurationVar(&s.QueueWait, "queue-wait", 0, "max time a queued request waits for a slot before 429 (0: 1s)")
 	fs.DurationVar(&s.RetryAfter, "retry-after", 0, "minimum Retry-After hint on 429 responses; the emitted hint scales with queue depth and recent latency (0: 1s)")
 	fs.DurationVar(&s.MaxRetryAfter, "max-retry-after", 0, "cap on the derived Retry-After hint (0: 30s)")
 	fs.IntVar(&s.ReadyWatermark, "ready-watermark", 0, "admission queue depth at which /v1/readyz reports 503 (0: max-queue)")
-	fs.IntVar(&s.MaxBatch, "max-batch", 0, "micro-batch size cap; 1 disables batching (0: 8)")
-	fs.DurationVar(&s.BatchLinger, "batch-linger", 0, "how long a forming micro-batch waits to fill (0: 2ms)")
 	fs.IntVar(&s.CacheSize, "cache-size", 0, "result cache entries; negative disables caching (0: 1024)")
 	fs.Int64Var(&s.MaxBody, "max-body", 0, "max uploaded image bytes (0: 64MiB)")
 	fs.DurationVar(&s.BinaryTimeout, "binary-timeout", 0, "per-binary wall-time limit (0: none)")

@@ -98,9 +98,8 @@ func TestAddServeDefaults(t *testing.T) {
 		t.Fatalf("defaults wrong: %+v", sv)
 	}
 	if sv.MaxInFlight != 0 || sv.MaxQueue != 0 || sv.QueueWait != 0 ||
-		sv.RetryAfter != 0 || sv.MaxBatch != 0 || sv.BatchLinger != 0 ||
-		sv.CacheSize != 0 || sv.MaxBody != 0 || sv.BinaryTimeout != 0 ||
-		sv.Retries != 0 || sv.WatchInterval != 0 {
+		sv.RetryAfter != 0 || sv.CacheSize != 0 || sv.MaxBody != 0 ||
+		sv.BinaryTimeout != 0 || sv.Retries != 0 || sv.WatchInterval != 0 {
 		t.Fatalf("service knobs should default to zero (deferred): %+v", sv)
 	}
 }
@@ -111,7 +110,7 @@ func TestAddServeParsesFlags(t *testing.T) {
 	args := []string{
 		"-addr", "127.0.0.1:0",
 		"-max-inflight", "12", "-max-queue", "5", "-queue-wait", "250ms",
-		"-retry-after", "3s", "-max-batch", "16", "-batch-linger", "4ms",
+		"-retry-after", "3s",
 		"-cache-size", "-1", "-max-body", "1048576",
 		"-binary-timeout", "30s", "-retries", "2",
 		"-watch-interval", "-1s", "-drain-timeout", "7s",
@@ -122,8 +121,7 @@ func TestAddServeParsesFlags(t *testing.T) {
 	want := Serve{
 		Addr: "127.0.0.1:0", MaxInFlight: 12, MaxQueue: 5,
 		QueueWait: 250 * time.Millisecond, RetryAfter: 3 * time.Second,
-		MaxBatch: 16, BatchLinger: 4 * time.Millisecond, CacheSize: -1,
-		MaxBody: 1 << 20, BinaryTimeout: 30 * time.Second, Retries: 2,
+		CacheSize: -1, MaxBody: 1 << 20, BinaryTimeout: 30 * time.Second, Retries: 2,
 		WatchInterval: -time.Second, DrainTimeout: 7 * time.Second,
 	}
 	if *sv != want {

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -229,6 +230,30 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 	if _, err := Decode([]byte("garbage")); err == nil {
 		t.Error("Decode(garbage) should fail")
+	}
+}
+
+// TestEncodeByteStable: the stage networks encode in stage order, so a
+// decoded pipeline re-encodes to the same bytes.
+func TestEncodeByteStable(t *testing.T) {
+	_, p := sharedPipeline(t)
+	blob, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Stages) != len(p.Stages) {
+		t.Fatalf("decoded %d stages, want %d", len(got.Stages), len(p.Stages))
+	}
+	again, err := got.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatal("re-encoded pipeline differs from the first encoding")
 	}
 }
 

@@ -55,11 +55,32 @@ func fromCfgState(s cfgState) Config {
 	}
 }
 
-// pipelineState is the gob form of a trained pipeline. Quantized marks
-// int8 stage payloads (nn.EncodeQCNN instead of nn.EncodeCNN); the model
-// artifact additionally carries the distinction in its envelope kind tag,
-// so pre-quantization builds reject such files at the envelope, not here.
+// pipelineState is the gob form of a trained pipeline. Stages are listed
+// in stage order, so one pipeline always encodes to the same bytes (and
+// its artifact to one fingerprint). Quantized marks int8 stage payloads
+// (nn.EncodeQCNN instead of nn.EncodeCNN); the model artifact
+// additionally carries the distinction in its envelope kind tag, so
+// pre-quantization builds reject such files at the envelope, not here.
 type pipelineState struct {
+	Cfg       cfgState
+	Embed     []byte
+	Stages    []stageState
+	FlatNet   []byte
+	Quantized bool
+}
+
+// stageState is one stage CNN's serialized network.
+type stageState struct {
+	Stage int
+	Net   []byte
+}
+
+// legacyPipelineState is the earlier layout, which kept the stages in a
+// map that gob writes in random order. Decode still reads it. Reusing the
+// field name Stages with a new type makes builds that only know this
+// layout reject the new one with a gob type error, instead of loading a
+// pipeline without stages.
+type legacyPipelineState struct {
 	Cfg       cfgState
 	Embed     []byte
 	Stages    map[int][]byte
@@ -103,7 +124,7 @@ func (p *Pipeline) Quantize() (*Pipeline, error) {
 
 // Encode serializes the pipeline (embedding model + all stage CNNs).
 func (p *Pipeline) Encode() ([]byte, error) {
-	st := pipelineState{Cfg: toCfgState(p.Cfg), Stages: make(map[int][]byte), Quantized: p.Quantized()}
+	st := pipelineState{Cfg: toCfgState(p.Cfg), Quantized: p.Quantized()}
 	var err error
 	if st.Embed, err = p.Embed.Encode(); err != nil {
 		return nil, err
@@ -116,12 +137,16 @@ func (p *Pipeline) Encode() ([]byte, error) {
 		return nn.EncodeCNN(net, p.Cfg.SeqLen(), p.Cfg.InstDim(),
 			p.Cfg.Conv1, p.Cfg.Conv2, p.Cfg.Hidden, arity)
 	}
-	for stage, net := range p.Stages {
+	for _, stage := range ctypes.AllStages() {
+		net := p.Stages[stage]
+		if net == nil {
+			continue
+		}
 		blob, err := enc(net, ctypes.StageArity(stage))
 		if err != nil {
 			return nil, fmt.Errorf("classify: encode %s: %w", stage, err)
 		}
-		st.Stages[int(stage)] = blob
+		st.Stages = append(st.Stages, stageState{Stage: int(stage), Net: blob})
 	}
 	if p.FlatNet != nil {
 		blob, err := enc(p.FlatNet, ctypes.NumClasses)
@@ -165,14 +190,13 @@ func (p *Pipeline) CheckFinite() error {
 	return nil
 }
 
-// Decode rebuilds a serialized pipeline.
+// Decode rebuilds a serialized pipeline, in either layout.
 func Decode(data []byte) (*Pipeline, error) {
-	var st pipelineState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("classify: decode: %w", err)
+	st, err := decodeState(data)
+	if err != nil {
+		return nil, err
 	}
 	p := &Pipeline{Cfg: fromCfgState(st.Cfg), Stages: make(map[ctypes.Stage]*nn.Network)}
-	var err error
 	if p.Embed, err = word2vec.Decode(st.Embed); err != nil {
 		return nil, err
 	}
@@ -180,12 +204,12 @@ func Decode(data []byte) (*Pipeline, error) {
 	if st.Quantized {
 		decodeNet = nn.DecodeQCNN
 	}
-	for stage, blob := range st.Stages {
-		net, err := decodeNet(blob)
+	for _, ss := range st.Stages {
+		net, err := decodeNet(ss.Net)
 		if err != nil {
-			return nil, fmt.Errorf("classify: decode stage %d: %w", stage, err)
+			return nil, fmt.Errorf("classify: decode stage %d: %w", ss.Stage, err)
 		}
-		p.Stages[ctypes.Stage(stage)] = net
+		p.Stages[ctypes.Stage(ss.Stage)] = net
 	}
 	if len(st.FlatNet) > 0 {
 		if p.FlatNet, err = decodeNet(st.FlatNet); err != nil {
@@ -193,4 +217,23 @@ func Decode(data []byte) (*Pipeline, error) {
 		}
 	}
 	return p, nil
+}
+
+// decodeState reads a pipelineState, falling back to the legacy map
+// layout, whose Stages field gob refuses to decode into a slice.
+func decodeState(data []byte) (pipelineState, error) {
+	var st pipelineState
+	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st)
+	if err == nil {
+		return st, nil
+	}
+	var old legacyPipelineState
+	if gob.NewDecoder(bytes.NewReader(data)).Decode(&old) != nil {
+		return st, fmt.Errorf("classify: decode: %w", err)
+	}
+	st = pipelineState{Cfg: old.Cfg, Embed: old.Embed, FlatNet: old.FlatNet, Quantized: old.Quantized}
+	for stage, blob := range old.Stages {
+		st.Stages = append(st.Stages, stageState{Stage: stage, Net: blob})
+	}
+	return st, nil
 }

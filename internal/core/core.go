@@ -344,10 +344,10 @@ type BatchOptions struct {
 	// MaxBackoff caps the exponential growth (0: 1s).
 	MaxBackoff time.Duration
 	// BinContext, when set, supplies the context binary i runs under
-	// instead of the batch context. The serve micro-batcher uses it to
-	// hand each binary the trace span of the request that contributed it,
-	// so a batch shared by several requests still yields per-request span
-	// trees. Cancelling the batch ctx must still stop the work, so
+	// instead of the batch context, so each binary of one batch can carry
+	// its own trace span. Its one caller is perfbench's traced
+	// corpus-tree pass, which times every binary's stages separately.
+	// Cancelling the batch ctx must still stop the work, so
 	// implementations derive from (or monitor) the batch ctx.
 	BinContext func(i int) context.Context
 }

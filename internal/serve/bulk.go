@@ -9,14 +9,12 @@ import (
 )
 
 // bulkInfer is the serve daemon's bulkq.InferFunc: one binary through
-// the same substrate as /v1/infer — result-cache probe first, then
-// core.InferBatchOpts with the configured per-binary timeout/retry
-// fault isolation, then a cache fill so later interactive requests for
-// the same image hit warm. Bulk work bypasses the micro-batcher and
-// admission control on purpose: the bulkq worker budget (plus its Yield
-// hook watching the admission queue) is the bulk path's own, stricter
-// admission, and batching across a corpus already happens at the job
-// level.
+// the same substrate as /v1/infer — result-cache probe first, then the
+// shared inferActive call (per-binary timeout/retry fault isolation and
+// panic containment), then a cache fill so later interactive requests for
+// the same image hit warm. Bulk work bypasses admission control on
+// purpose: the bulkq worker budget (plus its Yield hook watching the
+// admission queue) is the bulk path's own, stricter admission.
 func (s *Server) bulkInfer(ctx context.Context, image []byte) (json.RawMessage, string, int, error) {
 	active := s.registry.Active()
 	key := imageKey(image, active.Fingerprint)
@@ -27,19 +25,12 @@ func (s *Server) bulkInfer(ctx context.Context, image []byte) (json.RawMessage, 
 	if err != nil {
 		return nil, active.Fingerprint, 1, err
 	}
-	results, err := active.CATI.InferBatchOpts(ctx, []*elfx.Binary{bin}, core.BatchOptions{
-		Timeout: s.cfg.BinaryTimeout,
-		Retries: s.cfg.Retries,
-	})
-	if err != nil {
-		return nil, active.Fingerprint, 1, err
-	}
-	res := results[0]
+	res, m := s.inferActive(ctx, bin)
 	if res.Err != nil {
-		return nil, active.Fingerprint, res.Attempts, res.Err
+		return nil, m.Fingerprint, res.Attempts, res.Err
 	}
-	s.cache.put(key, res.Vars)
-	return marshalVarRecords(res.Vars), active.Fingerprint, res.Attempts, nil
+	s.cache.put(imageKey(image, m.Fingerprint), res.Vars)
+	return marshalVarRecords(res.Vars), m.Fingerprint, res.Attempts, nil
 }
 
 // toVarRecords renders inferred variables in the wire schema.

@@ -24,8 +24,8 @@ import (
 func TestReadyzGatesOnQueue(t *testing.T) {
 	fixture(t)
 	s := startServer(t, Config{
-		ModelPath: modelFile(t, fixA),
-		MaxBatch:  1, MaxInFlight: 1, MaxQueue: 2, ReadyWatermark: 1,
+		ModelPath:   modelFile(t, fixA),
+		MaxInFlight: 1, MaxQueue: 2, ReadyWatermark: 1,
 		QueueWait: 5 * time.Second, CacheSize: -1, WatchInterval: -1,
 	})
 	get := func(path string) int {
@@ -45,10 +45,10 @@ func TestReadyzGatesOnQueue(t *testing.T) {
 	// depth 1 == watermark → not ready.
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	s.batch.infer = func(ctx context.Context, m *Model, bins []*elfx.Binary, _ core.BatchOptions) ([]core.BinaryResult, error) {
+	s.infer = func(context.Context, *Model, *elfx.Binary) core.BinaryResult {
 		entered <- struct{}{}
 		<-gate
-		return make([]core.BinaryResult, len(bins)), nil
+		return core.BinaryResult{}
 	}
 	defer close(gate)
 	fire := func() {
@@ -102,8 +102,8 @@ func TestReadyzGatesOnQueue(t *testing.T) {
 func TestRetryAfterDerived(t *testing.T) {
 	fixture(t)
 	s := startServer(t, Config{
-		ModelPath: modelFile(t, fixA),
-		MaxBatch:  1, MaxInFlight: 1, MaxQueue: 2,
+		ModelPath:   modelFile(t, fixA),
+		MaxInFlight: 1, MaxQueue: 2,
 		QueueWait: 10 * time.Second, RetryAfter: time.Second, MaxRetryAfter: 7 * time.Second,
 		CacheSize: -1, WatchInterval: -1,
 	})
@@ -112,10 +112,10 @@ func TestRetryAfterDerived(t *testing.T) {
 
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	s.batch.infer = func(ctx context.Context, m *Model, bins []*elfx.Binary, _ core.BatchOptions) ([]core.BinaryResult, error) {
+	s.infer = func(context.Context, *Model, *elfx.Binary) core.BinaryResult {
 		entered <- struct{}{}
 		<-gate
-		return make([]core.BinaryResult, len(bins)), nil
+		return core.BinaryResult{}
 	}
 	defer close(gate)
 	fire := func() {
@@ -244,65 +244,53 @@ func TestCacheFillEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatcherPanicContained: an inference function that panics at the
-// batch level (outside core's per-binary containment) yields 500s for
-// the batch's requests — and the daemon keeps serving; the next request
-// on a healed infer fn succeeds.
+// TestBatcherPanicContained: an inference seam that panics outside
+// core's per-binary containment yields a 500 for its request — and the
+// daemon keeps serving; the next request on a healed seam succeeds.
 func TestBatcherPanicContained(t *testing.T) {
 	fixture(t)
 	s := startServer(t, Config{
 		ModelPath: modelFile(t, fixA),
-		CacheSize: -1, MaxBatch: 1, WatchInterval: -1,
+		CacheSize: -1, WatchInterval: -1,
 	})
-	real := s.batch.infer
-	s.batch.infer = func(ctx context.Context, m *Model, bins []*elfx.Binary, _ core.BatchOptions) ([]core.BinaryResult, error) {
-		panic("synthetic batch-level failure")
+	real := s.infer
+	s.infer = func(context.Context, *Model, *elfx.Binary) core.BinaryResult {
+		panic("synthetic inference failure")
 	}
 
 	resp, body := postInfer(t, s.Addr, fixImages[0])
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicked batch = %d, want 500: %s", resp.StatusCode, body)
+		t.Fatalf("panicked inference = %d, want 500: %s", resp.StatusCode, body)
 	}
 	var e ErrorResponse
 	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 		t.Fatalf("500 body not an ErrorResponse: %v %s", err, body)
 	}
 
-	// The collector and admission slots survived: a healed infer serves.
-	s.batch.infer = real
+	// The handler released its admission slot: a healed seam serves.
+	s.infer = real
 	resp, body = postInfer(t, s.Addr, fixImages[0])
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-panic request = %d, want 200: %s", resp.StatusCode, body)
 	}
 }
 
-// TestBatcherShortResults: an infer fn returning fewer results than
-// binaries fails the uncovered requests instead of panicking the batch
-// goroutine on an out-of-range index.
-func TestBatcherShortResults(t *testing.T) {
-	fixture(t)
-	s := startServer(t, Config{
-		ModelPath: modelFile(t, fixA),
-		CacheSize: -1, MaxBatch: 1, WatchInterval: -1,
-	})
-	s.batch.infer = func(ctx context.Context, m *Model, bins []*elfx.Binary, _ core.BatchOptions) ([]core.BinaryResult, error) {
-		return nil, nil // claims success, covers nothing
-	}
-	resp, body := postInfer(t, s.Addr, fixImages[0])
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("short-result batch = %d, want 500: %s", resp.StatusCode, body)
-	}
-}
-
 // TestErrBatchPanicIs pins the sentinel wrapping so the router can rely
 // on errors.Is across the wire boundary being encoded as a 500.
 func TestErrBatchPanicIs(t *testing.T) {
-	b := newBatcher(1, 0, core.BatchOptions{}, func() *Model { return nil })
-	b.infer = func(ctx context.Context, m *Model, bins []*elfx.Binary, _ core.BatchOptions) ([]core.BinaryResult, error) {
+	fixture(t)
+	s, err := New(Config{ModelPath: modelFile(t, fixA), WatchInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.infer = func(context.Context, *Model, *elfx.Binary) core.BinaryResult {
 		panic("boom")
 	}
-	_, err := b.inferContained(context.Background(), nil, nil, core.BatchOptions{})
-	if !errors.Is(err, ErrBatchPanic) {
-		t.Fatalf("want ErrBatchPanic, got %v", err)
+	res, m := s.inferActive(context.Background(), nil)
+	if !errors.Is(res.Err, ErrBatchPanic) {
+		t.Fatalf("want ErrBatchPanic, got %v", res.Err)
+	}
+	if m == nil || m.Fingerprint != fpA {
+		t.Fatalf("panicked call reports model %v, want the active snapshot %q", m, fpA)
 	}
 }

@@ -14,7 +14,7 @@
 //	                      fleet router serve another shard's warm cache
 //	                      without recomputing
 //
-// Four mechanisms make it production-shaped:
+// Three mechanisms make it production-shaped:
 //
 //   - a model registry (registry.go) holding the active *core.CATI behind
 //     an atomic pointer, hot-reloaded on SIGHUP or artifact-file change:
@@ -23,18 +23,20 @@
 //   - admission control (admission.go): a bounded in-flight limit and a
 //     bounded, deadline-capped wait queue; everything beyond is answered
 //     429 + Retry-After immediately instead of degrading every request;
-//   - dynamic micro-batching (batcher.go): concurrent requests coalesce
-//     (up to -max-batch, waiting at most -batch-linger) into one
-//     core.InferBatchOpts call, keeping the worker pool saturated while
-//     per-binary error domains keep a poisoned ELF from failing its
-//     batchmates;
 //   - a content-addressed LRU result cache (cache.go) keyed by (SHA-256
 //     of image, model fingerprint), so re-submitted binaries — the common
 //     case in real workloads — skip inference entirely.
 //
+// CATI types each binary on its own, so an admitted request runs its own
+// one-binary core.InferBatchOpts call on its handler goroutine, under the
+// request's context: a client that leaves stops its inference at the
+// next stage boundary. /v1/infer and bulk jobs share that call
+// (inferActive) with its per-binary timeout/retry policy and its panic
+// containment.
+//
 // Shutdown is a graceful drain: stop accepting, finish in-flight
-// requests (bounded by the drain deadline), then stop the batcher and
-// watcher. Everything is instrumented through internal/telemetry.
+// requests (bounded by the drain deadline), then stop the watcher and the
+// bulk queue. Everything is instrumented through internal/telemetry.
 package serve
 
 import (
@@ -94,8 +96,7 @@ type Config struct {
 	// Workers is the per-model inference worker count (0: CATI_WORKERS
 	// env, else GOMAXPROCS), exactly like `cati infer -workers`.
 	Workers int
-	// MaxInFlight bounds concurrently executing requests (default 2×
-	// resolved batch size, minimum 4).
+	// MaxInFlight bounds concurrently executing requests (default 16).
 	MaxInFlight int
 	// MaxQueue bounds requests waiting for an execution slot beyond
 	// MaxInFlight (default: MaxInFlight). Arrivals beyond in-flight +
@@ -118,13 +119,6 @@ type Config struct {
 	// (default MaxQueue — not ready exactly when new arrivals start being
 	// shed; minimum 1).
 	ReadyWatermark int
-	// MaxBatch is the micro-batch size cap (default 8; 1 disables
-	// batching).
-	MaxBatch int
-	// Linger is how long the batcher waits for a batch to fill after its
-	// first request (default 2ms; 0 dispatches whatever is instantly
-	// available).
-	Linger time.Duration
 	// CacheSize is the result cache's entry cap (default 1024; negative
 	// disables caching).
 	CacheSize int
@@ -161,17 +155,8 @@ type Config struct {
 
 // withDefaults resolves the documented defaults.
 func (c Config) withDefaults() Config {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 8
-	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 1
-	}
 	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 2 * c.MaxBatch
-		if c.MaxInFlight < 4 {
-			c.MaxInFlight = 4
-		}
+		c.MaxInFlight = 16
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = c.MaxInFlight
@@ -193,9 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadyWatermark < 1 {
 		c.ReadyWatermark = 1
-	}
-	if c.Linger == 0 {
-		c.Linger = 2 * time.Millisecond
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
@@ -276,7 +258,6 @@ type ModelsResponse struct {
 type Server struct {
 	cfg      Config
 	registry *Registry
-	batch    *batcher
 	adm      *admission
 	cache    *resultCache
 	bulk     *bulkq.Manager
@@ -291,11 +272,17 @@ type Server struct {
 	// stored as float64 seconds bits. Zero means "no observation yet".
 	latEWMA atomic.Uint64
 
-	// runCtx outlives every batch; cancelled only after the HTTP drain.
+	// infer is the inference seam: one parsed binary on one model
+	// snapshot. New wires it to core.InferBatchOpts with the configured
+	// per-binary timeout and retries; tests swap in blocking or panicking
+	// fakes. Callers go through inferActive, which contains its panics.
+	infer func(ctx context.Context, m *Model, bin *elfx.Binary) core.BinaryResult
+
+	// runCtx scopes the artifact watcher and the bulk drain; it is
+	// cancelled only after the HTTP drain.
 	runCtx    context.Context
 	runCancel context.CancelFunc
 	watchDone chan struct{}
-	batchDone chan struct{}
 	bulkDone  chan struct{}
 }
 
@@ -314,9 +301,15 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		registry: reg,
-		batch:    newBatcher(cfg.MaxBatch, cfg.Linger, opts, reg.Active),
 		adm:      newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 		cache:    newResultCache(cfg.CacheSize),
+		infer: func(ctx context.Context, m *Model, bin *elfx.Binary) core.BinaryResult {
+			results, err := m.CATI.InferBatchOpts(ctx, []*elfx.Binary{bin}, opts)
+			if err != nil {
+				return core.BinaryResult{Err: err}
+			}
+			return results[0]
+		},
 	}
 	mux := http.NewServeMux()
 	if cfg.BulkDir != "" {
@@ -363,8 +356,8 @@ func (s *Server) Registry() *Registry { return s.registry }
 func (s *Server) Bulk() *bulkq.Manager { return s.bulk }
 
 // Start binds addr and serves until Shutdown. The listener is bound
-// synchronously — a bad address fails here — and serving, the batch
-// collector, and the artifact watcher each run on their own goroutine.
+// synchronously — a bad address fails here — and serving, the artifact
+// watcher and the bulk drain each run on their own goroutine.
 func (s *Server) Start(addr string) error {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -373,11 +366,6 @@ func (s *Server) Start(addr string) error {
 	s.lis = lis
 	s.Addr = lis.Addr().String()
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
-	s.batchDone = make(chan struct{})
-	go func() {
-		defer close(s.batchDone)
-		s.batch.run(s.runCtx)
-	}()
 	s.watchDone = make(chan struct{})
 	go func() {
 		defer close(s.watchDone)
@@ -394,39 +382,32 @@ func (s *Server) Start(addr string) error {
 	s.cfg.Log.Info("catiserve listening", "addr", s.Addr,
 		"model", s.registry.Active().Fingerprint,
 		"max_inflight", s.cfg.MaxInFlight, "max_queue", s.cfg.MaxQueue,
-		"max_batch", s.cfg.MaxBatch, "linger", s.cfg.Linger,
 		"cache", s.cfg.CacheSize)
 	return nil
 }
 
 // Shutdown drains gracefully: stop accepting, wait (up to ctx's deadline)
-// for in-flight requests — and the batches they ride in — to finish, then
-// stop the collector and watcher. Safe to call once after Start.
+// for in-flight requests to finish, then stop the watcher and the bulk
+// queue. Safe to call once after Start.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.httpSrv.Shutdown(ctx)
-	// Handlers have returned (or the deadline passed): now nothing new
-	// can enter the batcher, so cancelling the run context only stops the
-	// collector loop and any straggling batches.
-	if s.runCancel != nil {
-		s.runCancel()
-		<-s.batchDone
-		<-s.watchDone
-		if s.bulkDone != nil {
-			<-s.bulkDone
-		}
-	}
-	if s.bulk != nil {
-		_ = s.bulk.Close()
-	}
+	s.stop()
 	return err
 }
 
 // Close tears down without draining (tests, error paths).
 func (s *Server) Close() error {
 	err := s.httpSrv.Close()
+	s.stop()
+	return err
+}
+
+// stop ends the background work once the HTTP server is down: it cancels
+// the run context, waits for the watcher and the bulk drain, and closes
+// the bulk queue.
+func (s *Server) stop() {
 	if s.runCancel != nil {
 		s.runCancel()
-		<-s.batchDone
 		<-s.watchDone
 		if s.bulkDone != nil {
 			<-s.bulkDone
@@ -435,7 +416,6 @@ func (s *Server) Close() error {
 	if s.bulk != nil {
 		_ = s.bulk.Close()
 	}
-	return err
 }
 
 // handleHealthz answers liveness. It touches no lock, no queue and no
@@ -553,14 +533,14 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleInfer is the data path: read → cache probe → admission → parse →
-// batch → respond. The cache probe runs before admission so repeat
+// infer → respond. The cache probe runs before admission so repeat
 // traffic is served even when the compute side is saturated.
 //
 // The request runs under a "serve.request" span: continued from the
 // X-Cati-Trace header when a fleet router forwarded the request, locally
 // rooted when a client hit the replica directly. Each phase below becomes
 // a child span, so /v1/trace/{id} explains where a slow request's time
-// went — queued, parsing, or riding a batch.
+// went — queued, parsing, or inferring.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	code := http.StatusOK
@@ -641,54 +621,77 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The batch span covers submission, coalescing and the inference run;
-	// its context rides inside the request record so the batcher can stamp
-	// dispatch events on it and hand it to core as this binary's context.
+	// The inference call runs under the "serve.batch" span, the name trace
+	// consumers key on, so the pipeline's five stage spans — recover,
+	// extract, embed, predict, vote — hang directly off it.
 	bctx, bspan := trace.Start(ctx, "serve.batch")
 	defer bspan.End()
-	req := &inferRequest{ctx: bctx, bin: bin, done: make(chan inferResult, 1)}
-	if err := s.batch.submit(ctx, req); err != nil {
-		bspan.SetError(err)
-		code = 499
-		countRejection("client_gone")
-		return
-	}
-	var res inferResult
-	select {
-	case res = <-req.done:
-		bspan.SetAttr(trace.Int("attempts", res.attempts))
-		bspan.SetError(res.err)
-	case <-ctx.Done():
-		// Client gone; the batch still completes and its send lands in
-		// the buffered channel.
-		bspan.Event("client-gone")
-		code = 499
-		return
-	}
-	if res.err != nil {
+	res, m := s.inferActive(bctx, bin)
+	bspan.SetAttr(trace.Int("attempts", res.Attempts))
+	bspan.SetError(res.Err)
+	if res.Err != nil {
 		switch {
-		case errors.Is(res.err, context.DeadlineExceeded):
+		case ctx.Err() != nil:
+			// The client left (or a fleet hedge lost): inference stopped at
+			// the next stage boundary and nobody reads a response.
+			bspan.Event("client-gone")
+			code = 499
+			return
+		case errors.Is(res.Err, context.DeadlineExceeded):
 			code = http.StatusGatewayTimeout
-		case errors.Is(res.err, ErrBatchPanic):
-			// A contained batch-level panic is the server's fault, not the
-			// input's: 500 tells clients (and the fleet router) to retry
-			// elsewhere, where a 422 would pin the blame on the binary.
+		case errors.Is(res.Err, ErrBatchPanic):
+			// A contained panic is the server's fault, not the input's:
+			// 500 tells clients (and the fleet router) to retry elsewhere,
+			// where a 422 would pin the blame on the binary.
 			code = http.StatusInternalServerError
 		default:
 			code = http.StatusUnprocessableEntity
 		}
 		writeJSON(w, code, ErrorResponse{
-			Error:    res.err.Error(),
-			Model:    res.model.Fingerprint,
-			Attempts: res.attempts,
+			Error:    res.Err.Error(),
+			Model:    m.Fingerprint,
+			Attempts: res.Attempts,
 		})
 		return
 	}
 	// Key the stored entry by the model that actually ran (it may be
 	// newer than the one probed above if a reload landed in between).
-	s.cache.put(imageKey(image, res.model.Fingerprint), res.vars)
+	s.cache.put(imageKey(image, m.Fingerprint), res.Vars)
 	s.observeLatency(time.Since(start))
-	writeInferResponse(w, res.model.Fingerprint, false, res.vars)
+	writeInferResponse(w, m.Fingerprint, false, res.Vars)
+}
+
+// ErrBatchPanic reports that inference panicked outside the per-binary
+// containment core.InferBatchOpts provides — in the inference seam or
+// around it. The request fails with it (a 500, or a failed bulk record)
+// and the daemon keeps serving.
+var ErrBatchPanic = errors.New("serve: inference panicked")
+
+// inferActive is the one inference call behind /v1/infer and bulk jobs:
+// it snapshots the active model and runs bin through the s.infer seam
+// under ctx, returning the result and the model that produced it (after
+// a hot reload, possibly newer than the one the caller probed the cache
+// with). A panic escaping the seam becomes an ErrBatchPanic result
+// rather than a crash: a long-lived service turns one poisoned request
+// into that request's error, never into a daemon restart.
+func (s *Server) inferActive(ctx context.Context, bin *elfx.Binary) (res core.BinaryResult, m *Model) {
+	m = s.registry.Active()
+	defer func() {
+		if r := recover(); r != nil {
+			countBatchPanic()
+			res = core.BinaryResult{Err: fmt.Errorf("%w: %v", ErrBatchPanic, r)}
+		}
+	}()
+	return s.infer(ctx, m, bin), m
+}
+
+// countBatchPanic records one contained inference panic.
+func countBatchPanic() {
+	if !telemetry.On() {
+		return
+	}
+	telemetry.Default().Counter("cati_serve_batch_panics_total",
+		"Inference panics contained outside core's per-binary containment.").Inc()
 }
 
 // writeInferResponse renders vars in the `cati infer -json` per-variable

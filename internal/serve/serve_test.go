@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bulkq"
 	"repro/internal/classify"
 	"repro/internal/compile"
 	"repro/internal/core"
@@ -228,50 +231,58 @@ func TestInferEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBatchingEquivalence pushes N concurrent requests through the
-// micro-batcher and checks every response is byte-identical to a serial
-// InferBinary call on the same image — and that actual coalescing
-// happened (the test would otherwise pass trivially with batching broken
-// into singletons).
-func TestBatchingEquivalence(t *testing.T) {
+// TestServePathsEquivalence checks that every way the daemon answers for
+// an image — N concurrent uncached POST /v1/infer, a cached repeat, the
+// GET /v1/cache/{sha} peer fill, and a bulk job — returns variable
+// records byte-identical to a serial InferBinaryCtx on the same model.
+func TestServePathsEquivalence(t *testing.T) {
 	fixture(t)
-	s := startServer(t, Config{
-		ModelPath: modelFile(t, fixA),
-		MaxBatch:  8, Linger: 250 * time.Millisecond,
-		MaxInFlight: 16, MaxQueue: 16,
-		QueueWait:     5 * time.Second,
-		CacheSize:     -1, // force every request through inference
-		WatchInterval: -1,
-	})
-
-	// Observe dispatched batch sizes through the batcher's test seam.
-	var mu sync.Mutex
-	var sizes []int
-	real := s.batch.infer
-	s.batch.infer = func(ctx context.Context, m *Model, bins []*elfx.Binary, opts core.BatchOptions) ([]core.BinaryResult, error) {
-		mu.Lock()
-		sizes = append(sizes, len(bins))
-		mu.Unlock()
-		return real(ctx, m, bins, opts)
-	}
-
 	n := len(fixImages)
-	want := make([][]VarRecord, n)
+	want := make([][]byte, n)
 	for i, img := range fixImages {
 		bin, err := elfx.Read(img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vars, err := fixCATI.InferBinary(bin)
+		vars, err := fixCATI.InferBinaryCtx(context.Background(), bin)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = toRecords(vars)
+		if want[i], err = json.Marshal(toRecords(vars)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// raw is an InferResponse with its records left as the bytes on the wire.
+	type raw struct {
+		Model  string          `json:"model"`
+		Cached bool            `json:"cached"`
+		Vars   json.RawMessage `json:"vars"`
+	}
+	check := func(path string, i int, code int, body []byte, cached bool) error {
+		if code != http.StatusOK {
+			return fmt.Errorf("%s %d: status %d: %s", path, i, code, body)
+		}
+		var got raw
+		if err := json.Unmarshal(body, &got); err != nil {
+			return fmt.Errorf("%s %d: %v", path, i, err)
+		}
+		if got.Model != fpA || got.Cached != cached {
+			return fmt.Errorf("%s %d: model %q cached %v, want %q cached %v", path, i, got.Model, got.Cached, fpA, cached)
+		}
+		if !bytes.Equal(got.Vars, want[i]) {
+			return fmt.Errorf("%s %d: records differ from serial InferBinaryCtx:\n got %s\nwant %s", path, i, got.Vars, want[i])
+		}
+		return nil
 	}
 
-	var wg sync.WaitGroup
+	s := startServer(t, Config{
+		ModelPath:   modelFile(t, fixA),
+		MaxInFlight: n, MaxQueue: n, QueueWait: 5 * time.Second,
+		CacheSize: 64, WatchInterval: -1,
+	})
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	var wg sync.WaitGroup
+	for i := range fixImages {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -286,45 +297,80 @@ func TestBatchingEquivalence(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
-				return
-			}
-			var got InferResponse
-			if err := json.Unmarshal(body, &got); err != nil {
-				errs[i] = err
-				return
-			}
-			if got.Model != fpA {
-				errs[i] = fmt.Errorf("model %q, want %q", got.Model, fpA)
-				return
-			}
-			if !sameRecords(got.Vars, want[i]) {
-				errs[i] = fmt.Errorf("batched result differs from serial InferBinary")
-			}
+			errs[i] = check("uncached POST", i, resp.StatusCode, body, false)
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+			t.Fatal(err)
+		}
+	}
+	for i, img := range fixImages {
+		resp, body := postInfer(t, s.Addr, img)
+		if err := check("cached POST", i, resp.StatusCode, body, true); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(img)
+		cresp, err := http.Get("http://" + s.Addr + "/v1/cache/" + hex.EncodeToString(sum[:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cbody, err := io.ReadAll(cresp.Body)
+		cresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := check("GET /v1/cache", i, cresp.StatusCode, cbody, true); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	total, maxSize := 0, 0
-	for _, sz := range sizes {
-		total += sz
-		if sz > maxSize {
-			maxSize = sz
+	// The bulk job runs on its own cache-less daemon, so every binary is
+	// computed rather than read back from the POSTs above.
+	b := startServer(t, Config{
+		ModelPath: modelFile(t, fixA), CacheSize: -1, WatchInterval: -1,
+		BulkDir: t.TempDir(), BulkWorkers: 2,
+	})
+	resp, err := http.Post("http://"+b.Addr+"/v1/bulk", "application/x-tar",
+		bytes.NewReader(bulkArchive(t, fixImages)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub bulkq.SubmitResult
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("bulk submit: code=%d err=%v", resp.StatusCode, err)
+	}
+	if st := waitBulkJob(t, b.Addr, sub.Job.ID, func(st bulkq.JobStatus) bool {
+		return st.State == "done"
+	}); st.Done != n {
+		t.Fatalf("bulk job: %+v", st)
+	}
+	resp, err = http.Get("http://" + b.Addr + "/v1/bulk/" + sub.Job.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	seen := 0
+	for ; ; seen++ {
+		var rec bulkq.ResultRecord
+		if err := dec.Decode(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != "done" || rec.Model != fpA || rec.Attempts != 1 {
+			t.Fatalf("bulk result %d: %+v", rec.Index, rec)
+		}
+		if !bytes.Equal(rec.Vars, want[rec.Index]) {
+			t.Fatalf("bulk result %d: records differ from serial InferBinaryCtx:\n got %s\nwant %s", rec.Index, rec.Vars, want[rec.Index])
 		}
 	}
-	if total != n {
-		t.Fatalf("batches covered %d requests, want %d (sizes %v)", total, n, sizes)
-	}
-	if maxSize < 2 {
-		t.Fatalf("no coalescing: batch sizes %v", sizes)
+	if seen != n {
+		t.Fatalf("bulk results: %d lines, want %d", seen, n)
 	}
 }
 
@@ -337,7 +383,6 @@ func TestOverload(t *testing.T) {
 	fixture(t)
 	s := startServer(t, Config{
 		ModelPath:   modelFile(t, fixA),
-		MaxBatch:    1, // one request per batch: slots map 1:1 to batches
 		MaxInFlight: 2, MaxQueue: 1,
 		QueueWait:     200 * time.Millisecond,
 		CacheSize:     -1,
@@ -345,10 +390,10 @@ func TestOverload(t *testing.T) {
 	})
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	s.batch.infer = func(ctx context.Context, m *Model, bins []*elfx.Binary, _ core.BatchOptions) ([]core.BinaryResult, error) {
+	s.infer = func(context.Context, *Model, *elfx.Binary) core.BinaryResult {
 		entered <- struct{}{}
 		<-gate
-		return make([]core.BinaryResult, len(bins)), nil
+		return core.BinaryResult{}
 	}
 
 	type reply struct {
@@ -542,8 +587,8 @@ func TestHotReloadMidTraffic(t *testing.T) {
 		t.Fatalf("traffic did not span the swap: %d on old, %d on new (total %d)", sawA, sawB, total)
 	}
 	// A worker's very last response may still carry the old fingerprint —
-	// its final batch can have been dispatched (and model-snapshotted)
-	// just before the swap and finished slowly. The invariant to pin is
+	// its final request can have snapshotted the model just before the
+	// swap and finished slowly. The invariant to pin is
 	// that a request submitted strictly after the reload runs on B.
 	resp, body := postInfer(t, s.Addr, fixImages[0])
 	if resp.StatusCode != http.StatusOK {
@@ -624,15 +669,15 @@ func TestGracefulDrain(t *testing.T) {
 	fixture(t)
 	s := startServer(t, Config{
 		ModelPath: modelFile(t, fixA),
-		CacheSize: -1, MaxBatch: 1, WatchInterval: -1,
+		CacheSize: -1, WatchInterval: -1,
 	})
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	real := s.batch.infer
-	s.batch.infer = func(ctx context.Context, m *Model, bins []*elfx.Binary, opts core.BatchOptions) ([]core.BinaryResult, error) {
+	real := s.infer
+	s.infer = func(ctx context.Context, m *Model, bin *elfx.Binary) core.BinaryResult {
 		entered <- struct{}{}
 		<-gate
-		return real(ctx, m, bins, opts)
+		return real(ctx, m, bin)
 	}
 
 	reply := make(chan int, 1)

@@ -186,9 +186,9 @@ type Span struct {
 type spanKey struct{}
 
 // ContextWithSpan returns a context carrying span, whose cancellation and
-// deadline are ctx's. Use it to re-parent work onto another request's
-// span — the micro-batcher hands each binary a context that cancels with
-// the batch but traces to the request that submitted it.
+// deadline are ctx's. Use it to re-parent work onto another span — for
+// example, to give each binary of one core.InferBatchOpts call a context
+// that cancels with the batch but traces to that binary's own span.
 func ContextWithSpan(ctx context.Context, span *Span) context.Context {
 	if span == nil {
 		return ctx

@@ -455,20 +455,28 @@ func (m *Model) Similarity(a, b string) float64 {
 	return dot / math.Sqrt(na*nb)
 }
 
-// Encode serializes the model.
+// Encode serializes the model. Vocab is left out: it is Words inverted,
+// and gob writes maps in random order, so encoding it would give one
+// model a different byte string (and artifact fingerprint) on every
+// save.
 func (m *Model) Encode() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(Model{Dim: m.Dim, Words: m.Words, Vecs: m.Vecs}); err != nil {
 		return nil, fmt.Errorf("word2vec: encode: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// Decode deserializes a model.
+// Decode deserializes a model, rebuilding Vocab from Words. Blobs that
+// still carry an encoded Vocab decode to the same model.
 func Decode(data []byte) (*Model, error) {
 	var m Model
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("word2vec: decode: %w", err)
+	}
+	m.Vocab = make(map[string]int, len(m.Words))
+	for i, w := range m.Words {
+		m.Vocab[w] = i
 	}
 	return &m, nil
 }

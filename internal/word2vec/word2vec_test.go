@@ -1,8 +1,11 @@
 package word2vec
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -175,6 +178,37 @@ func TestEncodeDecode(t *testing.T) {
 	}
 	if _, err := Decode([]byte("garbage")); err == nil {
 		t.Error("Decode(garbage) should fail")
+	}
+}
+
+// TestEncodeByteStable: the encoding leaves out the Vocab map (gob writes
+// maps in random order), so re-encoding a decoded model reproduces its
+// bytes; Decode rebuilds Vocab, also from blobs that still carry one.
+func TestEncodeByteStable(t *testing.T) {
+	m := Train(topicCorpus(30, 5), Config{Dim: 8, Epochs: 1, Seed: 2})
+	blob, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withVocab bytes.Buffer
+	if err := gob.NewEncoder(&withVocab).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range [][]byte{blob, withVocab.Bytes()} {
+		got, err := Decode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatal("decoded model differs from the encoded one")
+		}
+		again, err := got.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatal("re-encoded model differs from the first encoding")
+		}
 	}
 }
 
