@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the pre-commit gate: lint (gofmt
-# + vet + stderr-print hygiene), build, full test suite, coverage summary,
-# the race detector over the concurrent packages, a short fuzz smoke over
-# the hostile-input parsers, and a short answer-checked perfbench run.
+# + vet + stderr-print hygiene), build, one shuffled pass of the full test
+# suite with a coverage summary, the race detector over the concurrent
+# packages, a short fuzz smoke over the hostile-input parsers, and a short
+# answer-checked perfbench run.
 
 GO ?= go
 GOFMT ?= gofmt
@@ -10,9 +11,9 @@ RACE_PKGS = ./internal/par ./internal/obs ./internal/telemetry ./internal/trace 
 # corpus always runs in full via plain `go test`.
 FUZZTIME ?= 5s
 
-.PHONY: check build test lint vet race fuzz cover purego bench bench-json bench-fleet bench-kernels bench-kernels-smoke bench-trace bench-trace-smoke bench-bulk bench-bulk-smoke perfbench-check
+.PHONY: check build test lint vet race fuzz purego bench bench-json bench-fleet bench-kernels bench-kernels-smoke bench-trace bench-trace-smoke bench-bulk bench-bulk-smoke perfbench-check
 
-check: lint build test purego cover race fuzz bench-kernels-smoke bench-trace-smoke bench-bulk-smoke perfbench-check
+check: lint build test purego race fuzz bench-kernels-smoke bench-trace-smoke bench-bulk-smoke perfbench-check
 
 # lint fails when any file is unformatted (gofmt -l prints it), vet
 # complains, or a CLI writes raw diagnostics to stderr instead of routing
@@ -45,24 +46,21 @@ vet:
 build:
 	$(GO) build ./...
 
-# -shuffle=on randomizes test (and subtest) execution order each run,
-# flushing out inter-test state dependence before it reaches CI.
+# test runs the whole suite once, in shuffled order, with coverage, and
+# prints the total statement coverage. -shuffle=on randomizes test (and
+# subtest) execution order each run, flushing out inter-test state
+# dependence before it reaches CI. The profile is written outside the
+# repo root so a test run never leaves scratch files for git to pick up.
 test:
-	$(GO) test -shuffle=on ./...
+	@profile="$$(mktemp -t cati-cover.XXXXXX)"; \
+	$(GO) test -shuffle=on -coverprofile="$$profile" ./... || { rm -f "$$profile"; exit 1; }; \
+	$(GO) tool cover -func="$$profile" | tail -n 1; \
+	echo "full profile: $$profile (go tool cover -html=$$profile)"
 
 # purego re-runs the math-core packages with the JIT compiled out,
 # proving the portable fallback path stays green on its own.
 purego:
 	$(GO) test -tags purego ./internal/gemm ./internal/nn
-
-# cover runs the test suite once with coverage and prints the total
-# statement coverage. The profile is written outside the repo root so a
-# coverage run never leaves scratch files for git to pick up.
-cover:
-	@profile="$$(mktemp -t cati-cover.XXXXXX)"; \
-	$(GO) test -coverprofile="$$profile" ./... || { rm -f "$$profile"; exit 1; }; \
-	$(GO) tool cover -func="$$profile" | tail -n 1; \
-	echo "full profile: $$profile (go tool cover -html=$$profile)"
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)

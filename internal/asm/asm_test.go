@@ -829,3 +829,97 @@ func TestEncodeVEX(t *testing.T) {
 		t.Errorf("66 c5: err %v, want ErrBadEncoding", err)
 	}
 }
+
+// TestEncodeEVEX pins the 512-bit forms of the AVX-512 GEMM kernel to the
+// bytes Go's own assembler emits for them, then round-trips each through
+// the decoder. The displacement rows check disp8*N: a one-byte
+// displacement counts 64-byte units for zmm loads and stores but 4-byte
+// units for the vbroadcastss scalar, and anything else takes disp32.
+func TestEncodeEVEX(t *testing.T) {
+	tests := []struct {
+		in   Inst
+		want []byte
+	}{
+		{NewInst(OpVMOVUPS, 64, R(ZMM0), MemD(RAX64, 0)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x10, 0x00}},
+		{NewInst(OpVMOVUPS, 64, MemD(RAX64, 0), R(ZMM0)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x11, 0x00}},
+		{NewInst(OpVMOVUPS, 64, MemD(RDX64, 0), R(ZMM3)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x11, 0x1A}},
+		{NewInst(OpVMOVUPS, 64, R(ZMM4), MemD(RSI64, 64)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x10, 0x66, 0x01}},
+		{NewInst(OpVMOVUPS, 64, R(ZMM4), MemD(RSI64, -64)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x10, 0x66, 0xFF}},
+		{NewInst(OpVMOVUPS, 64, R(ZMM8), MemD(RSI64, 128)), []byte{0x62, 0x71, 0x7C, 0x48, 0x10, 0x46, 0x02}},
+		{NewInst(OpVMOVUPS, 64, R(ZMM4), MemD(RSI64, 4)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x10, 0xA6, 0x04, 0x00, 0x00, 0x00}},
+		{NewInst(OpVMOVUPS, 64, R(ZMM4), MemD(RSI64, 8192)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x10, 0xA6, 0x00, 0x20, 0x00, 0x00}},
+		{NewInst(OpVMOVUPS, 64, R(ZMM1), MemD(R8, 0)), []byte{0x62, 0xD1, 0x7C, 0x48, 0x10, 0x08}},
+		{NewInst(OpVMOVUPS, 64, MemD(R13, 64), R(ZMM12)), []byte{0x62, 0x51, 0x7C, 0x48, 0x11, 0x65, 0x01}},
+		{NewInst(OpVMOVUPS, 64, R(ZMM2), MemD(RSP64, 0)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x10, 0x14, 0x24}},
+		{NewInst(OpVMOVUPS, 64, R(ZMM2), MemD(RBP64, 0)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x10, 0x55, 0x00}},
+		{NewInst(OpVMOVUPS, 64, R(ZMM2), MemSIB(R12, R9, 2, 64)), []byte{0x62, 0x91, 0x7C, 0x48, 0x10, 0x54, 0x4C, 0x01}},
+		{NewInst(OpVBROADCASTSS, 64, R(ZMM5), MemD(RDI64, 0)), []byte{0x62, 0xF2, 0x7D, 0x48, 0x18, 0x2F}},
+		{NewInst(OpVBROADCASTSS, 64, R(ZMM5), MemD(RDI64, 4)), []byte{0x62, 0xF2, 0x7D, 0x48, 0x18, 0x6F, 0x01}},
+		{NewInst(OpVBROADCASTSS, 64, R(ZMM5), MemD(RDI64, 6)), []byte{0x62, 0xF2, 0x7D, 0x48, 0x18, 0xAF, 0x06, 0x00, 0x00, 0x00}},
+		{NewInst(OpVBROADCASTSS, 64, R(ZMM5), MemD(RDI64, 512)), []byte{0x62, 0xF2, 0x7D, 0x48, 0x18, 0xAF, 0x00, 0x02, 0x00, 0x00}},
+		{NewInst(OpVBROADCASTSS, 64, R(ZMM5), MemSIB(RDI64, R9, 1, 8)), []byte{0x62, 0xB2, 0x7D, 0x48, 0x18, 0x6C, 0x0F, 0x02}},
+		{NewInst(OpVBROADCASTSS, 64, R(ZMM5), MemSIB(RDI64, R9, 2, 4)), []byte{0x62, 0xB2, 0x7D, 0x48, 0x18, 0x6C, 0x4F, 0x01}},
+		{NewInst(OpVBROADCASTSS, 64, R(ZMM5), MemSIB(RDI64, R10, 1, 508)), []byte{0x62, 0xB2, 0x7D, 0x48, 0x18, 0x6C, 0x17, 0x7F}},
+		{NewInst(OpVBROADCASTSS, 64, R(ZMM13), MemD(R11, 0)), []byte{0x62, 0x52, 0x7D, 0x48, 0x18, 0x2B}},
+		{NewInst(OpVMULPS, 64, R(ZMM5), R(ZMM5), R(ZMM4)), []byte{0x62, 0xF1, 0x54, 0x48, 0x59, 0xEC}},
+		{NewInst(OpVMULPS, 64, R(ZMM11), R(ZMM10), R(ZMM9)), []byte{0x62, 0x51, 0x2C, 0x48, 0x59, 0xD9}},
+		{NewInst(OpVMULPS, 64, R(ZMM5), R(ZMM4), MemD(RSI64, 64)), []byte{0x62, 0xF1, 0x5C, 0x48, 0x59, 0x6E, 0x01}},
+		{NewInst(OpVADDPS, 64, R(ZMM0), R(ZMM0), R(ZMM5)), []byte{0x62, 0xF1, 0x7C, 0x48, 0x58, 0xC5}},
+		{NewInst(OpVADDPS, 64, R(ZMM12), R(ZMM13), R(ZMM14)), []byte{0x62, 0x51, 0x14, 0x48, 0x58, 0xE6}},
+		{NewInst(OpVADDPS, 64, R(ZMM2), R(ZMM1), MemD(RDX64, 0)), []byte{0x62, 0xF1, 0x74, 0x48, 0x58, 0x12}},
+	}
+	for _, tc := range tests {
+		code, err := Encode(tc.in)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", Print(&tc.in), err)
+		}
+		if !bytes.Equal(code, tc.want) {
+			t.Errorf("%s: encoded % x, want % x", Print(&tc.in), code, tc.want)
+		}
+		out, err := Decode(code, 0x400000)
+		if err != nil {
+			t.Fatalf("%s (% x): decode: %v", Print(&tc.in), code, err)
+		}
+		if !out.Equal(&tc.in) || out.Len != len(code) {
+			t.Errorf("%s round-tripped as %s (len %d)", Print(&tc.in), Print(&out), out.Len)
+		}
+	}
+	if got := Print(&tests[3].in); got != "vmovups 0x40(%rsi),%zmm4" {
+		t.Errorf("print = %q", got)
+	}
+
+	for _, bad := range []Inst{
+		NewInst(OpVXORPS, 64, R(ZMM0), R(ZMM0), R(ZMM0)),        // AVX512DQ
+		NewInst(OpVADDPS, 64, R(ZMM0), R(YMM1), R(ZMM2)),        // mixed widths
+		NewInst(OpVMOVUPS, 32, R(YMM0), R(ZMM1)),                // mixed widths
+		NewInst(OpVBROADCASTSS, 64, R(ZMM0), R(XMM1)),           // register source
+		NewInst(OpVMULPS, 64, R(ZMM0), MemD(RAX64, 0), R(ZMM1)), // memory in vvvv
+	} {
+		if _, err := Encode(bad); !errors.Is(err, ErrBadOperands) {
+			t.Errorf("%s: err %v, want ErrBadOperands", Print(&bad), err)
+		}
+	}
+
+	// The decoder takes only the forms above: opmask, zeroing, 128/256-bit
+	// length, embedded broadcast, W, zmm16+ and a legacy prefix are errors.
+	for _, code := range [][]byte{
+		{0x62, 0xF1, 0x7C, 0x49, 0x10, 0x00},       // {k1}
+		{0x62, 0xF1, 0x7C, 0xC8, 0x10, 0x00},       // {z}
+		{0x62, 0xF1, 0x7C, 0x28, 0x10, 0x00},       // 256-bit
+		{0x62, 0xF1, 0x7C, 0x58, 0x59, 0x00},       // {1to16}
+		{0x62, 0xF1, 0xFC, 0x48, 0x10, 0x00},       // W1
+		{0x62, 0xE1, 0x7C, 0x48, 0x10, 0x00},       // zmm16 in reg
+		{0x62, 0xF1, 0x7C, 0x40, 0x58, 0xC5},       // zmm16+ in vvvv
+		{0x62, 0xB1, 0x7C, 0x48, 0x58, 0xC5},       // zmm16+ in r/m
+		{0x62, 0xF1, 0x78, 0x48, 0x10, 0x00},       // fixed P1 bit clear
+		{0x62, 0xF1, 0x74, 0x48, 0x10, 0x00},       // vmovups with vvvv
+		{0x62, 0xF2, 0x7D, 0x48, 0x18, 0xC1},       // vbroadcastss register source
+		{0x62, 0xF1, 0x7C, 0x48, 0x57, 0xC0},       // vxorps (AVX512DQ)
+		{0x66, 0x62, 0xF1, 0x7C, 0x48, 0x10, 0x00}, // legacy prefix
+		{0x62, 0xF1, 0x7C},                         // truncated
+	} {
+		if in, err := Decode(code, 0); err == nil {
+			t.Errorf("% x decoded as %s, want an error", code, Print(&in))
+		}
+	}
+}

@@ -15,6 +15,8 @@ type decoder struct {
 	repF3  bool
 	rex    byte
 	hasREX bool
+	// disp8N scales a one-byte displacement (EVEX disp8*N); 0 means 1.
+	disp8N int32
 }
 
 func (d *decoder) peek() (byte, error) {
@@ -173,6 +175,9 @@ func (d *decoder) modRM(rmWidth int, xmmRM bool) (int, Operand, error) {
 			return 0, nil, err
 		}
 		m.Disp = int32(int8(v))
+		if d.disp8N != 0 {
+			m.Disp *= d.disp8N
+		}
 	case 2:
 		v, err := d.u32()
 		if err != nil {
@@ -257,12 +262,16 @@ func (d *decoder) decode() (Inst, error) {
 		case 0xF3:
 			d.repF3 = true
 		default:
-			if b == 0xC4 || b == 0xC5 {
-				// VEX prefix; combining it with legacy prefixes is #UD.
+			if b == 0xC4 || b == 0xC5 || b == 0x62 {
+				// VEX or EVEX prefix; combining it with legacy prefixes
+				// is #UD.
 				if d.opSize || d.repF2 || d.repF3 {
 					return Inst{}, ErrBadEncoding
 				}
 				d.pos++
+				if b == 0x62 {
+					return d.evex()
+				}
 				return d.vex(b)
 			}
 			if b >= 0x40 && b <= 0x4F {
@@ -1053,6 +1062,79 @@ func (d *decoder) vex(prefix byte) (Inst, error) {
 			Args: []Operand{R(vec(reg)), R(vec(vvvv)), vecRM(rm)}}, nil
 	}
 	return Inst{}, fmt.Errorf("vex opcode %#02x: %w", op, ErrBadEncoding)
+}
+
+// evex decodes the EVEX forms encodeEVEX emits: 512-bit vmovups,
+// vbroadcastss (memory source), vmulps and vaddps on zmm0-15, with no
+// opmask, zeroing, embedded broadcast or rounding. Anything else under the
+// 0x62 escape is rejected. As in vex, the inverted R/X/B bits become
+// d.rex so modRM works unchanged.
+func (d *decoder) evex() (Inst, error) {
+	var p [3]byte
+	for i := range p {
+		b, err := d.next()
+		if err != nil {
+			return Inst{}, err
+		}
+		p[i] = b
+	}
+	// Reserved P0 bits, R' (zmm16+), the fixed P1 bit, W, and in P2
+	// z, L'L other than 512, b, V' (zmm16+) and aaa.
+	if p[0]&0x1C != 0x10 || p[1]&0x84 != 0x04 || p[2] != 0x48 {
+		return Inst{}, ErrBadEncoding
+	}
+	mmap, pp := p[0]&3, p[1]&3
+	vvvv := int(^p[1]>>3) & 0xF
+	d.rex, d.hasREX = 0x40, true
+	if p[0]&0x80 == 0 {
+		d.rex |= 4 // R
+	}
+	if p[0]&0x40 == 0 {
+		d.rex |= 2 // X
+	}
+	if p[0]&0x20 == 0 {
+		d.rex |= 1 // B
+	}
+	op, err := d.next()
+	if err != nil {
+		return Inst{}, err
+	}
+
+	var mnem Op
+	d.disp8N = 64
+	switch {
+	case mmap == 2 && pp == 1 && op == 0x18:
+		mnem, d.disp8N = OpVBROADCASTSS, 4
+	case mmap == 1 && pp == 0 && (op == 0x10 || op == 0x11):
+		mnem = OpVMOVUPS
+	case mmap == 1 && pp == 0 && op == 0x58:
+		mnem = OpVADDPS
+	case mmap == 1 && pp == 0 && op == 0x59:
+		mnem = OpVMULPS
+	default:
+		return Inst{}, fmt.Errorf("evex map %d pp %d op %#02x: %w", mmap, pp, op, ErrBadEncoding)
+	}
+	reg, rm, err := d.modRM(0, true)
+	if err != nil {
+		return Inst{}, err
+	}
+	if r, ok := rm.(RegArg); ok {
+		// For a register r/m, EVEX.X is the register's fifth bit.
+		if d.rexX() != 0 || mnem == OpVBROADCASTSS {
+			return Inst{}, ErrBadEncoding
+		}
+		rm = R(ZMM(r.Reg.Num()))
+	}
+	x := R(ZMM(reg))
+	switch {
+	case mnem == OpVADDPS || mnem == OpVMULPS:
+		return Inst{Op: mnem, Width: 64, Args: []Operand{x, R(ZMM(vvvv)), rm}}, nil
+	case vvvv != 0:
+		return Inst{}, ErrBadEncoding
+	case op == 0x11:
+		return Inst{Op: mnem, Width: 64, Args: []Operand{rm, x}}, nil
+	}
+	return Inst{Op: mnem, Width: 64, Args: []Operand{x, rm}}, nil
 }
 
 func (d *decoder) x87(op byte) (Inst, error) {

@@ -97,6 +97,14 @@ type modRMTail struct {
 // buildModRM computes ModRM/SIB/disp for reg field `reg` (0..7 after REX.R
 // extraction) against an r/m operand.
 func buildModRM(regNum int, rm Operand, rex *rexParts) (modRMTail, error) {
+	return buildModRMScaled(regNum, rm, rex, 1)
+}
+
+// buildModRMScaled is buildModRM with a one-byte displacement counted in
+// units of n bytes (EVEX disp8*N compression; n is 1 for every legacy and
+// VEX encoding). A displacement that is not a multiple of n, or whose
+// quotient overflows int8, takes the four-byte form.
+func buildModRMScaled(regNum int, rm Operand, rex *rexParts, n int32) (modRMTail, error) {
 	var t modRMTail
 	rex.regBit(regNum, &rex.r)
 	regBits := byte(regNum&7) << 3
@@ -109,13 +117,13 @@ func buildModRM(regNum int, rm Operand, rex *rexParts) (modRMTail, error) {
 		t.modrm = 0xC0 | regBits | byte(n&7)
 		return t, nil
 	case Mem:
-		return buildMemModRM(regBits, x, rex)
+		return buildMemModRM(regBits, x, rex, n)
 	default:
 		return t, fmt.Errorf("r/m operand %T: %w", rm, ErrBadOperands)
 	}
 }
 
-func buildMemModRM(regBits byte, m Mem, rex *rexParts) (modRMTail, error) {
+func buildMemModRM(regBits byte, m Mem, rex *rexParts, n int32) (modRMTail, error) {
 	var t modRMTail
 	if m.Index != RegNone {
 		switch m.Scale {
@@ -162,9 +170,9 @@ func buildMemModRM(regBits byte, m Mem, rex *rexParts) (modRMTail, error) {
 	switch {
 	case m.Disp == 0 && baseNum&7 != 5: // rbp/r13 cannot use mod=00
 		mod = 0x00
-	case m.Disp >= math.MinInt8 && m.Disp <= math.MaxInt8:
+	case m.Disp%n == 0 && m.Disp/n >= math.MinInt8 && m.Disp/n <= math.MaxInt8:
 		mod = 0x40
-		t.disp = []byte{byte(m.Disp)}
+		t.disp = []byte{byte(m.Disp / n)}
 	default:
 		mod = 0x80
 		t.disp = le32(m.Disp)

@@ -145,6 +145,25 @@ const (
 	YMM13
 	YMM14
 	YMM15
+
+	// AVX-512 registers (the 512-bit views of the same file; EVEX-encoded
+	// only). zmm16-31 are not modelled.
+	ZMM0
+	ZMM1
+	ZMM2
+	ZMM3
+	ZMM4
+	ZMM5
+	ZMM6
+	ZMM7
+	ZMM8
+	ZMM9
+	ZMM10
+	ZMM11
+	ZMM12
+	ZMM13
+	ZMM14
+	ZMM15
 )
 
 // Canonical aliases using conventional names for 64-bit GPRs.
@@ -188,6 +207,10 @@ var regNames = map[Reg]string{
 	YMM4: "ymm4", YMM5: "ymm5", YMM6: "ymm6", YMM7: "ymm7",
 	YMM8: "ymm8", YMM9: "ymm9", YMM10: "ymm10", YMM11: "ymm11",
 	YMM12: "ymm12", YMM13: "ymm13", YMM14: "ymm14", YMM15: "ymm15",
+	ZMM0: "zmm0", ZMM1: "zmm1", ZMM2: "zmm2", ZMM3: "zmm3",
+	ZMM4: "zmm4", ZMM5: "zmm5", ZMM6: "zmm6", ZMM7: "zmm7",
+	ZMM8: "zmm8", ZMM9: "zmm9", ZMM10: "zmm10", ZMM11: "zmm11",
+	ZMM12: "zmm12", ZMM13: "zmm13", ZMM14: "zmm14", ZMM15: "zmm15",
 }
 
 // String returns the conventional register name without the AT&T % sigil.
@@ -209,6 +232,9 @@ func (r Reg) IsXMM() bool { return r >= XMM0 && r <= XMM15 }
 
 // IsYMM reports whether r is an AVX 256-bit register.
 func (r Reg) IsYMM() bool { return r >= YMM0 && r <= YMM15 }
+
+// IsZMM reports whether r is an AVX-512 register.
+func (r Reg) IsZMM() bool { return r >= ZMM0 && r <= ZMM15 }
 
 // IsST reports whether r is an x87 stack register.
 func (r Reg) IsST() bool { return r >= ST0 && r <= ST7 }
@@ -234,6 +260,8 @@ func (r Reg) Num() int {
 		return int(r - XMM0)
 	case r.IsYMM():
 		return int(r - YMM0)
+	case r.IsZMM():
+		return int(r - ZMM0)
 	case r.IsST():
 		return int(r - ST0)
 	default:
@@ -242,7 +270,7 @@ func (r Reg) Num() int {
 }
 
 // Width returns the register width in bytes (x87 registers report 10,
-// XMM report 16, RIP reports 8).
+// XMM 16, YMM 32, ZMM 64, RIP 8).
 func (r Reg) Width() int {
 	switch {
 	case r >= RAX64 && r <= R15, r == RIP:
@@ -257,6 +285,8 @@ func (r Reg) Width() int {
 		return 16
 	case r.IsYMM():
 		return 32
+	case r.IsZMM():
+		return 64
 	case r.IsST():
 		return 10
 	default:
@@ -299,6 +329,14 @@ func YMM(num int) Reg {
 		return RegNone
 	}
 	return YMM0 + Reg(num)
+}
+
+// ZMM returns the AVX-512 register with the given hardware number.
+func ZMM(num int) Reg {
+	if num < 0 || num > 15 {
+		return RegNone
+	}
+	return ZMM0 + Reg(num)
 }
 
 // ST returns the x87 stack register with the given index.

@@ -28,7 +28,7 @@ var vexSpecs = map[Op]vexSpec{
 	OpVBROADCASTSS: {mmap: 2, pp: 1, op: 0x18},
 }
 
-func isVecReg(r Reg) bool { return r.IsXMM() || r.IsYMM() }
+func isVecReg(r Reg) bool { return r.IsXMM() || r.IsYMM() || r.IsZMM() }
 
 func encodeVEX(e *enc, in Inst) error {
 	if in.Op == OpVZEROUPPER {
@@ -83,6 +83,17 @@ func encodeVEX(e *enc, in Inst) error {
 		return ErrUnknownOp
 	}
 
+	// A zmm operand selects the EVEX form, which every vector operand
+	// must then share.
+	for _, a := range in.Args {
+		if r, ok := a.(RegArg); ok && isVecReg(r.Reg) && r.Reg.IsZMM() != regOp.IsZMM() {
+			return fmt.Errorf("mixed zmm and xmm/ymm operands: %w", ErrBadOperands)
+		}
+	}
+	if regOp.IsZMM() {
+		return encodeEVEX(e, in.Op, spec, opcode, regOp, vvvv, rm)
+	}
+
 	var rex rexParts
 	t, err := buildModRM(regOp.Num(), rm, &rex)
 	if err != nil {
@@ -114,6 +125,52 @@ func encodeVEX(e *enc, in Inst) error {
 	}
 	e.byte(opcode)
 	e.byte(t.modrm)
+	if t.hasSIB {
+		e.byte(t.sib)
+	}
+	e.bytes(t.disp...)
+	return nil
+}
+
+// EVEX encoding for the AVX-512 forms the JIT's 512-bit kernel uses:
+// vmovups, vbroadcastss (memory source), vmulps and vaddps on zmm0-15,
+// without opmask, zeroing, embedded broadcast or rounding control. Like
+// VEX, the payload stores R, X, B, R', vvvv and V' inverted:
+//
+//	62 [R̄·X̄·B̄·R̄'·0·0·mm] [W·v̄v̄v̄v̄·1·pp] [z·L'L·b·V̄'·aaa]
+//
+// L'L = 2 selects 512 bits. A one-byte displacement counts units of N
+// bytes, the size of the memory operand: 64 for a full zmm load or store,
+// 4 for the vbroadcastss scalar. In 64-bit mode the 0x62 escape is
+// otherwise invalid (it was BOUND), so it never shadows a legacy opcode.
+func encodeEVEX(e *enc, op Op, spec vexSpec, opcode byte, regOp Reg, vvvv int, rm Operand) error {
+	if op == OpVXORPS {
+		// The 512-bit vxorps is AVX512DQ. A VEX.128 vxorps zeroes the
+		// whole zmm register and needs only AVX.
+		return fmt.Errorf("vxorps on zmm needs AVX512DQ: %w", ErrBadOperands)
+	}
+	n := int32(64)
+	if op == OpVBROADCASTSS {
+		n = 4
+	}
+	var rex rexParts
+	t, err := buildModRMScaled(regOp.Num(), rm, &rex, n)
+	if err != nil {
+		return err
+	}
+	p0 := 0x10 | spec.mmap // R' set: the reg operand is below zmm16
+	if !rex.r {
+		p0 |= 0x80
+	}
+	if !rex.x {
+		p0 |= 0x40
+	}
+	if !rex.b {
+		p0 |= 0x20
+	}
+	p1 := byte(^vvvv&0xF)<<3 | 0x04 | spec.pp
+	const p2 = 0x48 // L'L = 512 bits; V' set: vvvv is below zmm16
+	e.bytes(0x62, p0, p1, p2, opcode, t.modrm)
 	if t.hasSIB {
 		e.byte(t.sib)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/corpus"
+	"repro/internal/gemm"
 	"repro/internal/nn"
 	"repro/internal/synth"
 	"repro/internal/word2vec"
@@ -71,6 +72,41 @@ func TestSameSeedTrainingsShareFingerprint(t *testing.T) {
 	}
 	if fps[0] != fps[1] {
 		t.Fatalf("same-seed trainings give fingerprints %s and %s", fps[0], fps[1])
+	}
+}
+
+// TestLegacyLayoutEveryKernel: the legacy fixture gives its golden
+// answers byte for byte on both GEMM backends that share the blocked
+// summation order — blocked (the Go kernel) and jit (whichever kernel
+// variant the host selected). portable sums in another order and may
+// round differently, so it is left out.
+func TestLegacyLayoutEveryKernel(t *testing.T) {
+	blob, err := os.ReadFile("testdata/legacy-layout.model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/legacy-layout.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"blocked", "jit"} {
+		t.Run(backend, func(t *testing.T) {
+			if err := gemm.Select(backend); err != nil {
+				t.Skipf("backend %s: %v", backend, err)
+			}
+			defer func() {
+				if err := gemm.Select("auto"); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			c, err := Load(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := legacyTranscript(t, c); got != string(golden) {
+				t.Fatalf("%s answers differ from the golden transcript:\n got %q\nwant %q", backend, got, golden)
+			}
+		})
 	}
 }
 

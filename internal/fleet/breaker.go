@@ -95,6 +95,18 @@ func (b *breaker) report(ok bool) {
 	}
 }
 
+// abandon settles a request the router cancelled itself, counting it as
+// neither success nor failure. An abandoned half-open probe gives its
+// slot back: the breaker returns to open with its cooldown already
+// served, so the next allow probes again.
+func (b *breaker) abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.state = breakerOpen
+	}
+}
+
 // peek returns the current state without side effects (status endpoint).
 func (b *breaker) peek() breakerState {
 	b.mu.Lock()

@@ -93,3 +93,28 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		t.Fatal("reopened breaker allowed a request without a fresh cooldown")
 	}
 }
+
+// TestBreakerAbandonReleasesProbe: a request the router cancelled itself
+// counts neither way. In the closed state it leaves the failure streak
+// alone; as a half-open probe it gives the probe slot back, so the
+// breaker does not stay half-open with no probe outstanding.
+func TestBreakerAbandonReleasesProbe(t *testing.T) {
+	b, clk := testBreaker(2, time.Second)
+	b.report(false)
+	b.abandon()
+	if b.peek() != breakerClosed || b.fails != 1 {
+		t.Fatalf("abandon changed a closed breaker: state %v, fails %d", b.peek(), b.fails)
+	}
+	b.report(false)
+	clk.advance(time.Second)
+	if !b.allow() {
+		t.Fatal("refused half-open probe")
+	}
+	b.abandon()
+	if b.peek() != breakerOpen {
+		t.Fatalf("abandoned probe: state = %v, want open", b.peek())
+	}
+	if !b.allow() {
+		t.Fatal("abandoned probe's slot was not given back")
+	}
+}

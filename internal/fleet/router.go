@@ -659,7 +659,7 @@ func (rt *Router) runPlan(ctx context.Context, key uint64, sum [sha256.Size]byte
 	launch := func(m *member) {
 		pending++
 		lastLaunched = m
-		go func() { results <- rt.forward(rctx, m, image) }()
+		go func() { results <- rt.forward(rctx, m, image, sum) }()
 	}
 	// nextAllowed consumes plan entries until one passes its breaker;
 	// skip prevents hedging into the replica we are hedging around.
@@ -755,10 +755,12 @@ func (rt *Router) runPlan(ctx context.Context, key uint64, sum [sha256.Size]byte
 // forward sends the image to one replica and classifies the outcome for
 // the breaker: transport errors, truncated bodies, 429 and 5xx are
 // failures; everything else (success or deterministic 4xx) is healthy
-// service.
-func (rt *Router) forward(ctx context.Context, m *member, image []byte) fwdOut {
+// service. A forward the router cancelled itself — a losing hedge reeled
+// in, or a client gone — says nothing about the replica and is not
+// counted either way.
+func (rt *Router) forward(ctx context.Context, m *member, image []byte, sum [sha256.Size]byte) fwdOut {
 	ctx, span := trace.Start(ctx, "fleet.forward", trace.String("replica", m.url))
-	out := rt.forwardSpan(ctx, m, image)
+	out := rt.forwardSpan(ctx, m, image, sum)
 	span.SetError(out.err)
 	if out.code != 0 {
 		span.SetAttr(trace.Int("code", out.code))
@@ -767,23 +769,34 @@ func (rt *Router) forward(ctx context.Context, m *member, image []byte) fwdOut {
 	return out
 }
 
-func (rt *Router) forwardSpan(ctx context.Context, m *member, image []byte) fwdOut {
+func (rt *Router) forwardSpan(ctx context.Context, m *member, image []byte, sum [sha256.Size]byte) fwdOut {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+"/v1/infer", bytes.NewReader(image))
 	if err != nil {
 		return fwdOut{m: m, err: err}
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	// Inference is a pure function of image and model, so the forward is
+	// idempotent. Saying so lets net/http's Transport resend it when a
+	// reused keep-alive connection turns out to be dead.
+	req.Header.Set("Idempotency-Key", hex.EncodeToString(sum[:]))
 	trace.Inject(ctx, req.Header)
+	failed := func() {
+		if ctx.Err() != nil {
+			m.br.abandon()
+			return
+		}
+		m.br.report(false)
+	}
 	resp, err := rt.cfg.Client.Do(req)
 	if err != nil {
-		m.br.report(false)
+		failed()
 		return fwdOut{m: m, err: err}
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		// Truncated mid-body: the response cannot be trusted.
-		m.br.report(false)
+		failed()
 		return fwdOut{m: m, err: fmt.Errorf("reading %s response: %w", m.url, err)}
 	}
 	out := fwdOut{m: m, code: resp.StatusCode, body: body, model: resp.Header.Get("X-Cati-Model")}

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -490,5 +491,46 @@ func TestRouterStatusAndReadyz(t *testing.T) {
 	}
 	if st.Up != 0 || st.Ejections < 2 {
 		t.Fatalf("status after double ejection: up=%d ejections=%d", st.Up, st.Ejections)
+	}
+}
+
+// TestRouterCancelledForwardNotCounted: when the router cancels a
+// forward itself — here mid-request, as it does to a losing hedge — the
+// replica's breaker counts no failure. The forward also carries the
+// image's SHA-256 as its Idempotency-Key, which lets net/http resend it
+// over a fresh connection when a reused one was dead.
+func TestRouterCancelledForwardNotCounted(t *testing.T) {
+	got := make(chan string, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/infer" {
+			w.Write([]byte("ready\n"))
+			return
+		}
+		// With the body read, the server watches the connection and
+		// cancels r's context when the router hangs up.
+		io.Copy(io.Discard, r.Body)
+		got <- r.Header.Get("Idempotency-Key")
+		<-r.Context().Done()
+	}))
+	t.Cleanup(srv.Close)
+	rt := startRouter(t, Config{Replicas: []string{srv.URL}, BreakerThreshold: 1})
+	m := rt.members[0]
+	image := []byte("cancel-me")
+	sum := sha256.Sum256(image)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		if key := <-got; key != hex.EncodeToString(sum[:]) {
+			t.Errorf("Idempotency-Key = %q, want the image SHA-256", key)
+		}
+		cancel()
+	}()
+	if out := rt.forward(ctx, m, image, sum); !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("forward err = %v, want context.Canceled", out.err)
+	}
+	m.br.mu.Lock()
+	state, fails := m.br.state, m.br.fails
+	m.br.mu.Unlock()
+	if state != breakerClosed || fails != 0 {
+		t.Fatalf("breaker after a cancelled forward: state %v, fails %d; want closed with none", state, fails)
 	}
 }

@@ -19,10 +19,11 @@ const (
 	// Blocked is the cache-blocked packed-panel implementation with a Go
 	// microkernel; always available.
 	Blocked
-	// JIT is the blocked driver with microkernels emitted as SSE machine
-	// code by internal/asm at first use. Only available on amd64 builds
+	// JIT is the blocked driver with microkernels emitted as machine code
+	// by internal/asm at first use, for the widest instruction set the
+	// host supports (see Variant). Only available on linux/amd64 builds
 	// without the purego tag, and only after the generated code passes a
-	// self-test against the portable kernel.
+	// self-test against the Go kernels.
 	JIT
 )
 
@@ -82,6 +83,19 @@ func Select(name string) error {
 	return nil
 }
 
+// jitVariant is the instruction set of the selected float32 JIT kernel,
+// set once the JIT has come up.
+var jitVariant = "none"
+
+// Variant names the instruction set of the jit backend's float32
+// microkernel: "avx512", "avx" or "sse", or "none" where the jit backend
+// is unavailable. The choice is the widest one the CPU and OS support
+// whose kernel passed its self-test; no flag overrides it.
+func Variant() string {
+	jitAvailable()
+	return jitVariant
+}
+
 func autoBackend() Backend {
 	if jitAvailable() {
 		return JIT
@@ -90,15 +104,20 @@ func autoBackend() Backend {
 }
 
 // publishBackendGauge exposes the selected backend as
-// cati_kernel_backend{backend=...} with value 1 for the active backend and
-// 0 for the rest, so dashboards can tell which math path is live.
+// cati_kernel_backend{backend=...,variant=...} with value 1 for the active
+// backend and 0 for the rest, so dashboards can tell which math path is
+// live. variant is "go" for the Go backends and Variant() for jit.
 func publishBackendGauge(selected Backend) {
 	if !telemetry.On() {
 		return
 	}
 	for _, b := range []Backend{Portable, Blocked, JIT} {
+		variant := "go"
+		if b == JIT {
+			variant = Variant()
+		}
 		g := telemetry.Default().Gauge("cati_kernel_backend",
-			"Selected GEMM kernel backend (1 = active).", "backend", b.String())
+			"Selected GEMM kernel backend (1 = active).", "backend", b.String(), "variant", variant)
 		if b == selected {
 			g.Set(1)
 		} else {

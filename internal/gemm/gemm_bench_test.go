@@ -37,12 +37,7 @@ func BenchmarkSGEMM(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					switch be {
-					case Portable:
-						sgemmPortable(sh.m, sh.n, sh.k, a, sh.k, bm, ldb, sh.transB, c, sh.n)
-					default:
-						sgemmBlocked(sh.m, sh.n, sh.k, a, sh.k, bm, ldb, sh.transB, c, sh.n, ar, be == JIT)
-					}
+					sgemm(be, sh.m, sh.n, sh.k, a, sh.k, bm, ldb, sh.transB, c, sh.n, ar)
 				}
 				flops := 2 * float64(sh.m) * float64(sh.n) * float64(sh.k)
 				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // lcg is a tiny deterministic generator so tests reproduce exactly.
@@ -68,6 +70,15 @@ var gemmShapes = []struct {
 }
 
 func TestSGEMMEquivalence(t *testing.T) {
+	checkSGEMMEquivalence(t)
+}
+
+// checkSGEMMEquivalence runs every gemmShapes entry through the portable,
+// blocked and (where available) jit paths, raw and with B packed once:
+// each must match the float64 reference within rounding, and all four
+// blocked and jit results must agree bitwise.
+func checkSGEMMEquivalence(t *testing.T) {
+	t.Helper()
 	ar := &Arena{}
 	for _, sh := range gemmShapes {
 		g := lcg(uint64(sh.m*1000003 + sh.n*997 + sh.k))
@@ -88,24 +99,70 @@ func TestSGEMMEquivalence(t *testing.T) {
 		refGEMM(sh.m, sh.n, sh.k, a, sh.k, b, ldb, sh.transB, want, sh.n)
 
 		port := append([]float32(nil), c0...)
-		sgemmPortable(sh.m, sh.n, sh.k, a, sh.k, b, ldb, sh.transB, port, sh.n)
+		sgemm(Portable, sh.m, sh.n, sh.k, a, sh.k, b, ldb, sh.transB, port, sh.n, ar)
 		checkClose(t, "portable", sh.m, sh.n, sh.k, port, want)
 
 		blk := append([]float32(nil), c0...)
-		sgemmBlocked(sh.m, sh.n, sh.k, a, sh.k, b, ldb, sh.transB, blk, sh.n, ar, false)
+		sgemm(Blocked, sh.m, sh.n, sh.k, a, sh.k, b, ldb, sh.transB, blk, sh.n, ar)
 		checkClose(t, "blocked", sh.m, sh.n, sh.k, blk, want)
 
-		if jitAvailable() {
-			jit := append([]float32(nil), c0...)
-			sgemmBlocked(sh.m, sh.n, sh.k, a, sh.k, b, ldb, sh.transB, jit, sh.n, ar, true)
-			checkClose(t, "jit", sh.m, sh.n, sh.k, jit, want)
-			// The JIT microkernel replays the Go microkernel's exact
-			// per-lane operation order, so blocked and jit must agree
-			// bitwise, not just within tolerance.
-			for i := range jit {
-				if jit[i] != blk[i] {
-					t.Fatalf("jit vs blocked %dx%dx%d: c[%d] = %v != %v",
-						sh.m, sh.n, sh.k, i, jit[i], blk[i])
+		// The blocked and jit kernels all sum each element in the same
+		// order, so every path must agree with blk bitwise, not just
+		// within tolerance.
+		pb := PackB(sh.k, sh.n, b, ldb, sh.transB)
+		for _, useJIT := range []bool{false, true} {
+			name := "blocked"
+			if useJIT {
+				if !jitAvailable() {
+					continue
+				}
+				name = "jit"
+				raw := append([]float32(nil), c0...)
+				sgemm(JIT, sh.m, sh.n, sh.k, a, sh.k, b, ldb, sh.transB, raw, sh.n, ar)
+				checkBitwise(t, "jit vs blocked", sh.m, sh.n, sh.k, raw, blk)
+			}
+			packed := append([]float32(nil), c0...)
+			sgemmPacked(sh.m, a, sh.k, pb, packed, sh.n, ar, useJIT)
+			checkBitwise(t, name+" packed vs raw", sh.m, sh.n, sh.k, packed, blk)
+		}
+	}
+}
+
+func checkBitwise(t *testing.T, name string, m, n, k int, got, want []float32) {
+	t.Helper()
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s %dx%dx%d: c[%d] = %v != %v", name, m, n, k, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSGEMMPackedEntry drives the exported entry points under each
+// selectable backend: SGEMMPacked must reproduce SGEMM bitwise, portable
+// included (it multiplies by the pack's unpacked source), and must leave
+// C's padding alone when ldc > n.
+func TestSGEMMPackedEntry(t *testing.T) {
+	orig := Active()
+	defer func() { active.Store(int32(orig) + 1) }()
+	const m, n, k, ldc = 9, 19, 300, 23
+	g := lcg(11)
+	a := fill32(&g, m*k)
+	b := fill32(&g, n*k)
+	c0 := fill32(&g, m*ldc)
+	pb := PackB(k, n, b, k, true)
+	for _, name := range BackendNames()[1:] {
+		if err := Select(name); err != nil {
+			continue
+		}
+		raw := append([]float32(nil), c0...)
+		SGEMM(m, n, k, a, k, b, k, true, raw, ldc, nil)
+		packed := append([]float32(nil), c0...)
+		SGEMMPacked(m, a, k, pb, packed, ldc, nil)
+		checkBitwise(t, name+" packed vs raw", m, n, k, packed, raw)
+		for i := 0; i < m; i++ {
+			for j := n; j < ldc; j++ {
+				if packed[i*ldc+j] != c0[i*ldc+j] {
+					t.Fatalf("%s: padding c[%d][%d] written", name, i, j)
 				}
 			}
 		}
@@ -131,10 +188,9 @@ func checkClose(t *testing.T, name string, m, n, k int, got, want []float32) {
 // TestSGEMMBlockedSmallBlocks shrinks the blocking parameters so even tiny
 // shapes cross MC/KC/NC boundaries, exercising panel edges.
 func TestSGEMMBlockedSmallBlocks(t *testing.T) {
-	oMC, oKC, oNC := blockMC, blockKC, blockNC
-	blockMC, blockKC, blockNC = 8, 4, 16
-	defer func() { blockMC, blockKC, blockNC = oMC, oKC, oNC }()
-	Validate()
+	oMC, oKC := blockMC, blockKC
+	blockMC, blockKC = 8, 4
+	defer func() { blockMC, blockKC = oMC, oKC }()
 
 	g := lcg(42)
 	const m, n, k = 19, 23, 11
@@ -143,9 +199,12 @@ func TestSGEMMBlockedSmallBlocks(t *testing.T) {
 	want := make([]float32, m*n)
 	refGEMM(m, n, k, a, k, b, n, false, want, n)
 
-	for _, useJIT := range []bool{false, jitAvailable()} {
+	for _, be := range []Backend{Blocked, JIT} {
+		if be == JIT && !jitAvailable() {
+			continue
+		}
 		got := make([]float32, m*n)
-		sgemmBlocked(m, n, k, a, k, b, n, false, got, n, &Arena{}, useJIT)
+		sgemm(be, m, n, k, a, k, b, n, false, got, n, &Arena{})
 		checkClose(t, "small-blocks", m, n, k, got, want)
 	}
 }
@@ -318,6 +377,38 @@ func TestSelectBackend(t *testing.T) {
 	}
 }
 
+// TestBackendGaugeNamesVariant: Select publishes the active backend on
+// cati_kernel_backend, labelled with the kernel variant that runs: "go"
+// for the Go backends, Variant() for jit.
+func TestBackendGaugeNamesVariant(t *testing.T) {
+	orig := Active()
+	defer func() { active.Store(int32(orig) + 1) }()
+	was := telemetry.On()
+	telemetry.SetEnabled(true)
+	defer telemetry.SetEnabled(was)
+	gauge := func(backend, variant string) int64 {
+		return telemetry.Default().Gauge("cati_kernel_backend", "", "backend", backend, "variant", variant).Value()
+	}
+	if err := Select("blocked"); err != nil {
+		t.Fatal(err)
+	}
+	if gauge("blocked", "go") != 1 || gauge("jit", Variant()) != 0 {
+		t.Fatalf("after Select(blocked): blocked=%d jit=%d", gauge("blocked", "go"), gauge("jit", Variant()))
+	}
+	if !jitAvailable() {
+		if Variant() != "none" {
+			t.Fatalf("Variant() = %q without jit", Variant())
+		}
+		return
+	}
+	if err := Select("jit"); err != nil {
+		t.Fatal(err)
+	}
+	if gauge("jit", Variant()) != 1 || gauge("blocked", "go") != 0 {
+		t.Fatalf("after Select(jit): jit{variant=%s}=%d", Variant(), gauge("jit", Variant()))
+	}
+}
+
 func TestJITAvailableOnLinuxAmd64(t *testing.T) {
 	// On the platforms CI runs (linux/amd64, no purego tag) the JIT must
 	// come up: SSE2 is part of the amd64 baseline and the self-test is
@@ -332,16 +423,26 @@ func TestJITAvailableOnLinuxAmd64(t *testing.T) {
 
 func FuzzGEMMEquivalence(f *testing.F) {
 	// Seed with the CATI CNN shapes (conv1/conv2 im2col and dense layers).
-	f.Add(uint8(21), uint8(32), uint16(288), true, uint64(1))
-	f.Add(uint8(10), uint8(64), uint16(96), true, uint64(2))
-	f.Add(uint8(8), uint8(255), uint16(320), false, uint64(3))
-	f.Add(uint8(1), uint8(1), uint16(1), false, uint64(4))
-	f.Add(uint8(13), uint8(9), uint16(1031), true, uint64(5))
+	f.Add(uint8(21), uint16(32), uint16(288), true, uint64(1))
+	f.Add(uint8(10), uint16(64), uint16(96), true, uint64(2))
+	f.Add(uint8(8), uint16(255), uint16(320), false, uint64(3))
+	f.Add(uint8(1), uint16(1), uint16(1), false, uint64(4))
+	f.Add(uint8(13), uint16(9), uint16(1031), true, uint64(5))
+	// The model's shapes whose k crosses the KC=256 block boundary, at
+	// exactly m×n×k: conv1 (k 288), dense1 (k 320, n 1024) and dense2 (k
+	// 1024, n the class counts 2, 9 and 19), plus odd row counts.
+	for i, sh := range [][4]int{
+		{21, 32, 288, 1}, {13, 64, 288, 1}, {7, 64, 320, 1},
+		{8, 1024, 320, 0}, {3, 1024, 288, 1}, {6, 1024, 1024, 0},
+		{9, 2, 1024, 0}, {10, 9, 1024, 0}, {11, 19, 1024, 0}, {5, 19, 320, 1},
+	} {
+		f.Add(uint8(sh[0]-1), uint16(sh[1]-1), uint16(sh[2]-1), sh[3] == 1, uint64(10+i))
+	}
 
 	ar := &Arena{}
-	f.Fuzz(func(t *testing.T, mm, nn uint8, kk uint16, transB bool, seed uint64) {
+	f.Fuzz(func(t *testing.T, mm uint8, nn, kk uint16, transB bool, seed uint64) {
 		m := int(mm)%64 + 1
-		n := int(nn)%96 + 1
+		n := int(nn)%1100 + 1
 		k := int(kk)%1100 + 1
 		g := lcg(seed)
 		a := fill32(&g, m*k)
@@ -356,17 +457,24 @@ func FuzzGEMMEquivalence(f *testing.F) {
 		sgemmPortable(m, n, k, a, k, b, ldb, transB, want, n)
 
 		blk := append([]float32(nil), c0...)
-		sgemmBlocked(m, n, k, a, k, b, ldb, transB, blk, n, ar, false)
+		sgemm(Blocked, m, n, k, a, k, b, ldb, transB, blk, n, ar)
 		checkClose(t, "blocked", m, n, k, blk, want)
 
-		if jitAvailable() {
-			jit := append([]float32(nil), c0...)
-			sgemmBlocked(m, n, k, a, k, b, ldb, transB, jit, n, ar, true)
-			for i := range jit {
-				if jit[i] != blk[i] {
-					t.Fatalf("jit vs blocked %dx%dx%d: c[%d] = %v != %v", m, n, k, i, jit[i], blk[i])
+		pb := PackB(k, n, b, ldb, transB)
+		for _, useJIT := range []bool{false, true} {
+			name := "blocked"
+			if useJIT {
+				if !jitAvailable() {
+					continue
 				}
+				name = "jit"
+				raw := append([]float32(nil), c0...)
+				sgemm(JIT, m, n, k, a, k, b, ldb, transB, raw, n, ar)
+				checkBitwise(t, "jit vs blocked", m, n, k, raw, blk)
 			}
+			packed := append([]float32(nil), c0...)
+			sgemmPacked(m, a, k, pb, packed, n, ar, useJIT)
+			checkBitwise(t, name+" packed vs raw", m, n, k, packed, blk)
 		}
 
 		// Int8 path on the same shapes (dot-product layout).

@@ -5,6 +5,7 @@ package gemm
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"syscall"
 	"unsafe"
@@ -14,27 +15,31 @@ import (
 
 // The JIT backend assembles its GEMM microkernels at first use with the
 // repo's own x86-64 encoder (internal/asm) instead of shipping
-// precompiled assembly. The baseline code targets SSE2 — part of the
-// amd64 ABI, so it needs no CPUID gating — and the f32 microkernel is
-// upgraded to a 256-bit AVX variant when runtime feature detection (via
-// JIT-compiled CPUID/XGETBV stubs) confirms CPU and OS support. All
-// generated code lives in an anonymous mmap that is flipped from RW to RX
-// before the first call (W^X: the buffer is never writable and executable
-// at once).
+// precompiled assembly. The float32 microkernel comes in three variants
+// of one MR×NR tile: AVX-512 (EVEX, one zmm accumulator per row), AVX
+// (VEX, two ymm per row) and SSE (two passes of four-lane vectors, the
+// only one that needs no CPUID gating because SSE2 is part of the amd64
+// ABI). Runtime feature detection — JIT-compiled CPUID/XGETBV stubs —
+// picks the widest variant the CPU and OS support. The int8 and ReLU
+// kernels are SSE only. All generated code lives in an anonymous mmap
+// that is flipped from RW to RX before the first call (W^X: the buffer is
+// never writable and executable at once).
 //
 // Kernel ABI: arguments arrive in DI, SI, DX, CX, R8, R9 via the
-// jitcall6 trampoline (jitcall_amd64.s). Kernels may clobber
-// RAX-RDX, RSI, RDI and R8-R13 plus XMM0-XMM13; they must preserve RSP
+// jitcall6 trampoline (jitcall_amd64.s). Kernels may clobber RAX-RDX,
+// RSI, RDI and R8-R13 plus vector registers 0-14; they must preserve RSP
 // and must not touch RBP (without saving), R14 (the goroutine pointer in
-// the Go register ABI), R15 or X15.
+// the Go register ABI), R15 or X15/YMM15/ZMM15 (Go's zero register), and
+// kernels that use AVX end with vzeroupper.
 //
 // Safety: a kernel runs as straight-line machine code the Go runtime
 // knows nothing about. Asynchronous preemption is safe — the runtime
 // refuses to preempt at a PC it cannot look up and retries later — and
 // the trampoline is NOSPLIT so no stack growth can occur mid-call. Before
-// the backend is advertised as available, every generated kernel must
-// reproduce the portable kernel's output bit-for-bit on a self-test; any
-// mismatch or mmap failure silently falls back to the blocked Go backend.
+// a kernel is selected it must reproduce the Go kernel's output
+// bit-for-bit on a self-test; a float32 variant that fails falls back to
+// the next narrower one, and any other failure leaves the blocked Go
+// backend in charge.
 
 // jitcall6 invokes code with the six operands in DI, SI, DX, CX, R8, R9.
 // Implemented in jitcall_amd64.s.
@@ -46,14 +51,19 @@ type jitKernel struct {
 	entry uintptr
 }
 
-// callF32 runs the MR×NR float32 microkernel: C[0:4][0:8] += A·B over kc
-// packed steps, where a is kc×MR, b is kc×NR and c has row stride ldc.
-func (k *jitKernel) callF32(a, b, c []float32, kc, ldc int) {
+// callF32 runs the MR×NR float32 microkernel with microKernelGo's
+// contract: C[0:MR][0:NR] += A·B over kc steps, where A's rows are lda
+// apart and b is a packed kc×NR strip.
+func (k *jitKernel) callF32(kc int, a []float32, lda int, b, c []float32, ldc int) {
+	// The machine code checks no bounds; these reslices panic instead.
+	a = a[:(mr-1)*lda+kc]
+	b = b[:kc*nr]
+	c = c[:(mr-1)*ldc+nr]
 	jitcall6(k.entry,
 		uintptr(unsafe.Pointer(&a[0])),
 		uintptr(unsafe.Pointer(&b[0])),
 		uintptr(unsafe.Pointer(&c[0])),
-		uintptr(kc), uintptr(ldc*4), 0)
+		uintptr(kc), uintptr(ldc*4), uintptr(lda*4))
 	runtime.KeepAlive(a)
 	runtime.KeepAlive(b)
 	runtime.KeepAlive(c)
@@ -111,16 +121,66 @@ func jitUnavailableReason() string {
 	return jitReason
 }
 
-func initJIT() {
-	variant := "sse"
-	buildF32 := buildF32Unit
-	if avxSupported() {
-		variant = "avx"
-		buildF32 = buildF32AVXUnit
+// f32Variants lists the float32 microkernels, widest first.
+var f32Variants = []struct {
+	name   string
+	usable func(cpuFeatures) bool
+	build  func() (*asm.Unit, error)
+}{
+	{"avx512", func(f cpuFeatures) bool { return f.avx512 }, buildF32AVX512Unit},
+	{"avx", func(f cpuFeatures) bool { return f.avx }, buildF32AVXUnit},
+	{"sse", func(cpuFeatures) bool { return true }, buildF32SSEUnit},
+}
+
+// hostF32Variants names the float32 kernel variants this CPU and OS can
+// run, widest first.
+func hostF32Variants() []string {
+	cpu := detectCPU()
+	var names []string
+	for _, v := range f32Variants {
+		if v.usable(cpu) {
+			names = append(names, v.name)
+		}
 	}
-	f32, err := emitKernel(buildF32())
-	if err != nil {
-		jitReason = "f32 kernel: " + err.Error()
+	return names
+}
+
+// buildF32Variant assembles the named float32 kernel and proves it
+// against microKernelGo. initJIT takes the first variant that passes;
+// tests build every variant the host supports.
+func buildF32Variant(name string) (*jitKernel, error) {
+	for _, v := range f32Variants {
+		if v.name != name {
+			continue
+		}
+		k, err := emitKernel(v.build())
+		if err != nil {
+			return nil, err
+		}
+		if err := selfTestF32(k); err != nil {
+			k.release()
+			return nil, err
+		}
+		return k, nil
+	}
+	return nil, fmt.Errorf("unknown f32 kernel variant %q", name)
+}
+
+func initJIT() {
+	var f32 *jitKernel
+	var variant string
+	var failed []string
+	for _, name := range hostF32Variants() {
+		k, err := buildF32Variant(name)
+		if err != nil {
+			failed = append(failed, name+": "+err.Error())
+			continue
+		}
+		f32, variant = k, name
+		break
+	}
+	if f32 == nil {
+		jitReason = "f32 kernel: " + strings.Join(failed, "; ")
 		return
 	}
 	i8, err := emitKernel(buildInt8Unit())
@@ -136,7 +196,7 @@ func initJIT() {
 		jitReason = "relu kernel: " + err.Error()
 		return
 	}
-	if err := jitSelfTest(f32, i8, relu); err != nil {
+	if err := selfTestInt8ReLU(i8, relu); err != nil {
 		f32.release()
 		i8.release()
 		relu.release()
@@ -144,44 +204,61 @@ func initJIT() {
 		return
 	}
 	jitKernels.f32, jitKernels.i8, jitKernels.relu = f32, i8, relu
+	jitVariant = variant
 	jitReason = "available (" + variant + ")"
 }
 
-// avxSupported reports whether the CPU and OS support 256-bit AVX state.
-// The probes are themselves JIT-compiled stubs: CPUID leaf 1 for the AVX
-// and OSXSAVE feature bits, then XGETBV to confirm the OS enables both the
-// XMM and YMM state components in XCR0.
-func avxSupported() bool {
-	cpuid, err := emitKernel(buildCPUIDUnit())
+// cpuFeatures is what the float32 kernel variants need from the CPU and
+// the OS.
+type cpuFeatures struct {
+	avx    bool // AVX, with XMM and YMM state enabled
+	avx512 bool // AVX512F, with the opmask and ZMM state enabled too
+}
+
+// detectCPU probes the CPU with JIT-compiled CPUID and XGETBV stubs:
+// CPUID leaf 1 for the AVX and OSXSAVE bits, XGETBV for the state
+// components the OS saves in XCR0 (bits 1-2 for XMM/YMM; 5-7 for the
+// opmask and the two halves of the ZMM file), and CPUID leaf 7 for
+// AVX512F. Any failure reports no extensions, leaving SSE.
+func detectCPU() (f cpuFeatures) {
+	stub, err := emitKernel(buildCPUIDUnit())
 	if err != nil {
-		return false
+		return f
 	}
-	defer cpuid.release()
-	var feat [1]uint32
-	jitcall6(cpuid.entry, uintptr(unsafe.Pointer(&feat[0])), 0, 0, 0, 0, 0)
-	runtime.KeepAlive(&feat)
+	defer stub.release()
+	cpuid := func(leaf uint32) (r [4]uint32) {
+		jitcall6(stub.entry, uintptr(unsafe.Pointer(&r[0])), uintptr(leaf), 0, 0, 0, 0)
+		return r
+	}
 	const osxsave, avx = 1 << 27, 1 << 28
-	if feat[0]&osxsave == 0 || feat[0]&avx == 0 {
-		return false
+	if cpuid(1)[2]&(osxsave|avx) != osxsave|avx {
+		return f
 	}
 	xgetbv, err := emitKernel(buildXGETBVUnit())
 	if err != nil {
-		return false
+		return f
 	}
 	defer xgetbv.release()
 	var xcr0 [1]uint32
 	jitcall6(xgetbv.entry, uintptr(unsafe.Pointer(&xcr0[0])), 0, 0, 0, 0, 0)
 	runtime.KeepAlive(&xcr0)
-	return xcr0[0]&0x6 == 0x6 // SSE and AVX state enabled
+	f.avx = xcr0[0]&0x6 == 0x6
+	const avx512f = 1 << 16
+	f.avx512 = f.avx && xcr0[0]&0xE6 == 0xE6 && cpuid(0)[0] >= 7 && cpuid(7)[1]&avx512f != 0
+	return f
 }
 
-// buildCPUIDUnit emits a stub that stores CPUID.1:ECX to [rdi]. CPUID
-// clobbers EAX-EDX; all four are in the kernel clobber set.
+// buildCPUIDUnit emits a stub that runs CPUID with EAX = esi, ECX = 0 and
+// stores EAX, EBX, ECX, EDX to [rdi]. CPUID clobbers EAX-EDX; all four
+// are in the kernel clobber set.
 func buildCPUIDUnit() (*asm.Unit, error) {
 	u := &asm.Unit{}
-	u.AddOp(asm.OpMOV, 0, asm.R(asm.EAX), asm.Imm{Value: 1})
+	u.AddOp(asm.OpMOV, 0, asm.R(asm.EAX), asm.R(asm.ESI))
+	u.AddOp(asm.OpXOR, 0, asm.R(asm.ECX), asm.R(asm.ECX))
 	u.AddOp(asm.OpCPUID, 0)
-	u.AddOp(asm.OpMOV, 0, asm.MemD(asm.RDI, 0), asm.R(asm.ECX))
+	for i, reg := range []asm.Reg{asm.EAX, asm.EBX, asm.ECX, asm.EDX} {
+		u.AddOp(asm.OpMOV, 0, asm.MemD(asm.RDI, int32(4*i)), asm.R(reg))
+	}
 	u.AddOp(asm.OpRET, 0)
 	return u, nil
 }
@@ -220,126 +297,175 @@ func emitKernel(u *asm.Unit, buildErr error) (*jitKernel, error) {
 	return &jitKernel{buf: buf, entry: uintptr(unsafe.Pointer(&buf[0]))}, nil
 }
 
-// buildF32Unit emits the MR×NR float32 microkernel.
+// The float32 kernels share one entry contract, microKernelGo's:
 //
-// Entry: DI=a (kc×MR packed), SI=b (kc×NR packed), DX=c, CX=kc (>0),
-// R8=row stride of c in bytes. Eight XMM accumulators hold the 4×8 tile;
-// per k-step the NR b values are loaded once (xmm8, xmm9), the MR a
-// values once (xmm12), and each a lane is splatted with shufps and
-// multiplied in. The k loop is unrolled 2× with a single-step remainder.
-// The accumulation order per lane matches microKernelGo exactly, so
-// results are bitwise identical to the blocked Go backend.
-func buildF32Unit() (*asm.Unit, error) {
-	u := &asm.Unit{}
+//	DI = A (row 0 of the quad), SI = B strip (kc×NR packed),
+//	DX = C, CX = kc (> 0), R8 = C's row stride in bytes,
+//	R9 = A's row stride in bytes.
+//
+// A is read in place: with R10 = 3·R9 the four rows of k-step l sit at
+// DI, DI+R9, DI+2·R9 and DI+R10, each plus 4·l. Every variant sums each
+// element from zero in ascending k with a separate multiply and add — no
+// FMA, which would round once instead of twice — and then adds the sum to
+// C, exactly as microKernelGo does, so results are bitwise identical.
+
+// aRow addresses row row of the A quad at byte offset disp.
+func aRow(row int, disp int32) asm.Mem {
+	switch row {
+	case 0:
+		return asm.MemD(asm.RDI, disp)
+	case 1:
+		return asm.MemSIB(asm.RDI, asm.R9, 1, disp)
+	case 2:
+		return asm.MemSIB(asm.RDI, asm.R9, 2, disp)
+	default:
+		return asm.MemSIB(asm.RDI, asm.R10, 1, disp)
+	}
+}
+
+// emitKLoop emits the kc loop shared by the float32 kernels, unrolled 2×
+// with a one-step remainder. step(s) emits k-step s of an iteration,
+// reading A at byte offset 4·s and B at 4·NR·s; DI and SI advance once
+// per iteration, and R11 counts. CX is preserved. Labels carry tag so one
+// unit can hold several loops.
+func emitKLoop(u *asm.Unit, tag string, step func(s int32)) {
 	op := func(o asm.Op, w int, args ...asm.Operand) { u.AddOp(o, w, args...) }
 	r := asm.R
 	imm := func(v int64) asm.Imm { return asm.Imm{Value: v} }
-	// step emits one k-step reading a at rdi+16*s and b at rsi+32*s.
-	step := func(s int32) {
-		op(asm.OpMOVUPS, 16, r(asm.XMM8), asm.MemD(asm.RSI, 32*s))
-		op(asm.OpMOVUPS, 16, r(asm.XMM9), asm.MemD(asm.RSI, 32*s+16))
-		op(asm.OpMOVUPS, 16, r(asm.XMM12), asm.MemD(asm.RDI, 16*s))
-		for row := 0; row < mr; row++ {
-			op(asm.OpMOVAPS, 16, r(asm.XMM10), r(asm.XMM12))
-			op(asm.OpSHUFPS, 16, r(asm.XMM10), r(asm.XMM10), imm(int64(row*0x55)))
-			op(asm.OpMOVAPS, 16, r(asm.XMM11), r(asm.XMM10))
-			op(asm.OpMULPS, 16, r(asm.XMM11), r(asm.XMM8))
-			op(asm.OpADDPS, 16, r(asm.XMM(2*row)), r(asm.XMM11))
-			op(asm.OpMULPS, 16, r(asm.XMM10), r(asm.XMM9))
-			op(asm.OpADDPS, 16, r(asm.XMM(2*row+1)), r(asm.XMM10))
-		}
-	}
-
-	for x := 0; x < 2*mr; x++ {
-		op(asm.OpXORPS, 16, r(asm.XMM(x)), r(asm.XMM(x)))
-	}
-	op(asm.OpMOV, 0, r(asm.R10), r(asm.RCX)) // r10 = kc >> 1 (pair count)
-	op(asm.OpSHR, 0, r(asm.R10), imm(1))
-	op(asm.OpJE, 0, asm.Sym{Name: "k_rem"})
-	u.Label("k2_loop")
+	op(asm.OpMOV, 0, r(asm.R11), r(asm.RCX)) // r11 = kc >> 1 (pair count)
+	op(asm.OpSHR, 0, r(asm.R11), imm(1))
+	op(asm.OpJE, 0, asm.Sym{Name: tag + "k_rem"})
+	u.Label(tag + "k2_loop")
 	step(0)
 	step(1)
-	op(asm.OpADD, 0, r(asm.RDI), imm(2*4*mr))
+	op(asm.OpADD, 0, r(asm.RDI), imm(2*4))
 	op(asm.OpADD, 0, r(asm.RSI), imm(2*4*nr))
-	op(asm.OpDEC, 0, r(asm.R10))
-	op(asm.OpJNE, 0, asm.Sym{Name: "k2_loop"})
-	u.Label("k_rem")
-	op(asm.OpAND, 0, r(asm.RCX), imm(1))
-	op(asm.OpJE, 0, asm.Sym{Name: "k_done"})
+	op(asm.OpDEC, 0, r(asm.R11))
+	op(asm.OpJNE, 0, asm.Sym{Name: tag + "k2_loop"})
+	u.Label(tag + "k_rem")
+	op(asm.OpTEST, 0, r(asm.ECX), imm(1))
+	op(asm.OpJE, 0, asm.Sym{Name: tag + "k_done"})
 	step(0)
-	u.Label("k_done")
+	u.Label(tag + "k_done")
+}
 
+// buildF32AVX512Unit emits the float32 microkernel with 512-bit EVEX
+// instructions: one zmm accumulator per row (zmm0-3) covers all NR = 16
+// columns. A k-step loads the B row once (zmm4), then per row broadcasts
+// the A scalar straight from memory (zmm5), multiplies and adds. The
+// accumulators are zeroed with the VEX.128 vxorps, which clears a whole
+// zmm register and needs no AVX512DQ.
+func buildF32AVX512Unit() (*asm.Unit, error) {
+	u := &asm.Unit{}
+	op := func(o asm.Op, w int, args ...asm.Operand) { u.AddOp(o, w, args...) }
+	r := asm.R
+	for row := 0; row < mr; row++ {
+		x := r(asm.XMM(row))
+		op(asm.OpVXORPS, 16, x, x, x)
+	}
+	op(asm.OpLEA, 0, r(asm.R10), asm.MemSIB(asm.R9, asm.R9, 2, 0))
+	emitKLoop(u, "", func(s int32) {
+		op(asm.OpVMOVUPS, 64, r(asm.ZMM4), asm.MemD(asm.RSI, 4*nr*s))
+		for row := 0; row < mr; row++ {
+			op(asm.OpVBROADCASTSS, 64, r(asm.ZMM5), aRow(row, 4*s))
+			op(asm.OpVMULPS, 64, r(asm.ZMM5), r(asm.ZMM5), r(asm.ZMM4))
+			op(asm.OpVADDPS, 64, r(asm.ZMM(row)), r(asm.ZMM(row)), r(asm.ZMM5))
+		}
+	})
 	// C += accumulators, one row at a time; DX walks by the row stride.
 	for row := 0; row < mr; row++ {
-		op(asm.OpMOVUPS, 16, r(asm.XMM8), asm.MemD(asm.RDX, 0))
-		op(asm.OpADDPS, 16, r(asm.XMM8), r(asm.XMM(2*row)))
-		op(asm.OpMOVUPS, 16, asm.MemD(asm.RDX, 0), r(asm.XMM8))
-		op(asm.OpMOVUPS, 16, r(asm.XMM9), asm.MemD(asm.RDX, 16))
-		op(asm.OpADDPS, 16, r(asm.XMM9), r(asm.XMM(2*row+1)))
-		op(asm.OpMOVUPS, 16, asm.MemD(asm.RDX, 16), r(asm.XMM9))
-		if row != mr-1 {
-			op(asm.OpADD, 0, r(asm.RDX), r(asm.R8))
-		}
+		op(asm.OpVMOVUPS, 64, r(asm.ZMM4), asm.MemD(asm.RDX, 0))
+		op(asm.OpVADDPS, 64, r(asm.ZMM4), r(asm.ZMM4), r(asm.ZMM(row)))
+		op(asm.OpVMOVUPS, 64, asm.MemD(asm.RDX, 0), r(asm.ZMM4))
+		op(asm.OpADD, 0, r(asm.RDX), r(asm.R8))
 	}
+	op(asm.OpVZEROUPPER, 0)
 	op(asm.OpRET, 0)
 	return u, nil
 }
 
-// buildF32AVXUnit emits the MR×NR float32 microkernel with 256-bit VEX
-// instructions; same entry contract and packing layout as buildF32Unit.
-//
-// The NR=8 tile columns fit one YMM register, so each of the MR rows keeps
-// a single accumulator (ymm0-3) and a k-step is just: load the B vector
-// once (ymm8), then per row broadcast the A scalar straight from the
-// packed panel (vbroadcastss from memory — no shuffle-port traffic) and
-// multiply-accumulate via the 3-operand forms. FMA is deliberately not
-// used: vmulps+vaddps round twice, exactly like microKernelGo, keeping
-// results bitwise identical across backends. vzeroupper before ret avoids
-// SSE/AVX transition stalls in the caller.
+// buildF32AVXUnit emits the float32 microkernel with 256-bit VEX
+// instructions: two ymm accumulators per row (ymm0-7). A k-step loads the
+// B row once (ymm8, ymm9), then per row broadcasts the A scalar from
+// memory (ymm10) and multiplies and adds into both halves.
 func buildF32AVXUnit() (*asm.Unit, error) {
 	u := &asm.Unit{}
 	op := func(o asm.Op, w int, args ...asm.Operand) { u.AddOp(o, w, args...) }
 	r := asm.R
-	imm := func(v int64) asm.Imm { return asm.Imm{Value: v} }
-	// step emits one k-step reading a at rdi+16*s and b at rsi+32*s.
-	step := func(s int32) {
-		op(asm.OpVMOVUPS, 32, r(asm.YMM8), asm.MemD(asm.RSI, 32*s))
+	for x := 0; x < 2*mr; x++ {
+		y := r(asm.YMM(x))
+		op(asm.OpVXORPS, 32, y, y, y)
+	}
+	op(asm.OpLEA, 0, r(asm.R10), asm.MemSIB(asm.R9, asm.R9, 2, 0))
+	emitKLoop(u, "", func(s int32) {
+		op(asm.OpVMOVUPS, 32, r(asm.YMM8), asm.MemD(asm.RSI, 4*nr*s))
+		op(asm.OpVMOVUPS, 32, r(asm.YMM9), asm.MemD(asm.RSI, 4*nr*s+32))
 		for row := 0; row < mr; row++ {
-			op(asm.OpVBROADCASTSS, 32, r(asm.YMM9), asm.MemD(asm.RDI, 16*s+4*int32(row)))
-			op(asm.OpVMULPS, 32, r(asm.YMM9), r(asm.YMM9), r(asm.YMM8))
-			op(asm.OpVADDPS, 32, r(asm.YMM(row)), r(asm.YMM(row)), r(asm.YMM9))
+			op(asm.OpVBROADCASTSS, 32, r(asm.YMM10), aRow(row, 4*s))
+			op(asm.OpVMULPS, 32, r(asm.YMM11), r(asm.YMM10), r(asm.YMM8))
+			op(asm.OpVADDPS, 32, r(asm.YMM(2*row)), r(asm.YMM(2*row)), r(asm.YMM11))
+			op(asm.OpVMULPS, 32, r(asm.YMM10), r(asm.YMM10), r(asm.YMM9))
+			op(asm.OpVADDPS, 32, r(asm.YMM(2*row+1)), r(asm.YMM(2*row+1)), r(asm.YMM10))
 		}
-	}
-
-	for x := 0; x < mr; x++ {
-		op(asm.OpVXORPS, 32, r(asm.YMM(x)), r(asm.YMM(x)), r(asm.YMM(x)))
-	}
-	op(asm.OpMOV, 0, r(asm.R10), r(asm.RCX)) // r10 = kc >> 1 (pair count)
-	op(asm.OpSHR, 0, r(asm.R10), imm(1))
-	op(asm.OpJE, 0, asm.Sym{Name: "k_rem"})
-	u.Label("k2_loop")
-	step(0)
-	step(1)
-	op(asm.OpADD, 0, r(asm.RDI), imm(2*4*mr))
-	op(asm.OpADD, 0, r(asm.RSI), imm(2*4*nr))
-	op(asm.OpDEC, 0, r(asm.R10))
-	op(asm.OpJNE, 0, asm.Sym{Name: "k2_loop"})
-	u.Label("k_rem")
-	op(asm.OpAND, 0, r(asm.RCX), imm(1))
-	op(asm.OpJE, 0, asm.Sym{Name: "k_done"})
-	step(0)
-	u.Label("k_done")
-
-	// C += accumulators, one row at a time; DX walks by the row stride.
+	})
 	for row := 0; row < mr; row++ {
-		op(asm.OpVMOVUPS, 32, r(asm.YMM8), asm.MemD(asm.RDX, 0))
-		op(asm.OpVADDPS, 32, r(asm.YMM8), r(asm.YMM8), r(asm.YMM(row)))
-		op(asm.OpVMOVUPS, 32, asm.MemD(asm.RDX, 0), r(asm.YMM8))
-		if row != mr-1 {
+		for h := 0; h < 2; h++ {
+			op(asm.OpVMOVUPS, 32, r(asm.YMM8), asm.MemD(asm.RDX, int32(32*h)))
+			op(asm.OpVADDPS, 32, r(asm.YMM8), r(asm.YMM8), r(asm.YMM(2*row+h)))
+			op(asm.OpVMOVUPS, 32, asm.MemD(asm.RDX, int32(32*h)), r(asm.YMM8))
+		}
+		op(asm.OpADD, 0, r(asm.RDX), r(asm.R8))
+	}
+	op(asm.OpVZEROUPPER, 0)
+	op(asm.OpRET, 0)
+	return u, nil
+}
+
+// buildF32SSEUnit emits the float32 microkernel with four-lane SSE
+// instructions. Sixteen columns would need more accumulators than the
+// XMM file holds, so the tile runs as two 4×8 halves, columns 0-7 and
+// then 8-15, each with eight accumulators (xmm0-7). A k-step loads the
+// half's B row (xmm8, xmm9), then per row loads the A scalar, splats it
+// with shufps (xmm10) and multiplies and adds into both vectors. AX, BX
+// and R12 keep the entry A, B and C pointers for the second half.
+func buildF32SSEUnit() (*asm.Unit, error) {
+	u := &asm.Unit{}
+	op := func(o asm.Op, w int, args ...asm.Operand) { u.AddOp(o, w, args...) }
+	r := asm.R
+	imm := func(v int64) asm.Imm { return asm.Imm{Value: v} }
+	op(asm.OpLEA, 0, r(asm.R10), asm.MemSIB(asm.R9, asm.R9, 2, 0))
+	op(asm.OpMOV, 0, r(asm.RAX), r(asm.RDI))
+	op(asm.OpMOV, 0, r(asm.RBX), r(asm.RSI))
+	op(asm.OpMOV, 0, r(asm.R12), r(asm.RDX))
+	for h := int32(0); h < 2; h++ {
+		for x := 0; x < 2*mr; x++ {
+			op(asm.OpXORPS, 16, r(asm.XMM(x)), r(asm.XMM(x)))
+		}
+		op(asm.OpMOV, 0, r(asm.RDI), r(asm.RAX))
+		op(asm.OpLEA, 0, r(asm.RSI), asm.MemD(asm.RBX, 32*h))
+		op(asm.OpLEA, 0, r(asm.RDX), asm.MemD(asm.R12, 32*h))
+		emitKLoop(u, fmt.Sprintf("h%d_", h), func(s int32) {
+			op(asm.OpMOVUPS, 16, r(asm.XMM8), asm.MemD(asm.RSI, 4*nr*s))
+			op(asm.OpMOVUPS, 16, r(asm.XMM9), asm.MemD(asm.RSI, 4*nr*s+16))
+			for row := 0; row < mr; row++ {
+				op(asm.OpMOVSS, 4, r(asm.XMM10), aRow(row, 4*s))
+				op(asm.OpSHUFPS, 16, r(asm.XMM10), r(asm.XMM10), imm(0))
+				op(asm.OpMOVAPS, 16, r(asm.XMM11), r(asm.XMM10))
+				op(asm.OpMULPS, 16, r(asm.XMM11), r(asm.XMM8))
+				op(asm.OpADDPS, 16, r(asm.XMM(2*row)), r(asm.XMM11))
+				op(asm.OpMULPS, 16, r(asm.XMM10), r(asm.XMM9))
+				op(asm.OpADDPS, 16, r(asm.XMM(2*row+1)), r(asm.XMM10))
+			}
+		})
+		for row := 0; row < mr; row++ {
+			for v := 0; v < 2; v++ {
+				op(asm.OpMOVUPS, 16, r(asm.XMM8), asm.MemD(asm.RDX, int32(16*v)))
+				op(asm.OpADDPS, 16, r(asm.XMM8), r(asm.XMM(2*row+v)))
+				op(asm.OpMOVUPS, 16, asm.MemD(asm.RDX, int32(16*v)), r(asm.XMM8))
+			}
 			op(asm.OpADD, 0, r(asm.RDX), r(asm.R8))
 		}
 	}
-	op(asm.OpVZEROUPPER, 0)
 	op(asm.OpRET, 0)
 	return u, nil
 }
@@ -438,21 +564,27 @@ func buildReLUUnit() (*asm.Unit, error) {
 	return u, nil
 }
 
-// jitSelfTest proves the freshly generated kernels against the portable
-// Go implementations on deterministic pseudo-random inputs, including
-// awkward sizes (k not a multiple of the unroll). Any difference — float
-// results must match bitwise, integers exactly — disables the backend.
-func jitSelfTest(f32, i8, relu *jitKernel) error {
+// selfTestRNG returns a deterministic generator of small floats with
+// exact products, shared by the self-tests.
+func selfTestRNG() func() float32 {
 	rng := uint32(0x2545f491)
-	next := func() float32 {
+	return func() float32 {
 		rng ^= rng << 13
 		rng ^= rng >> 17
 		rng ^= rng << 5
 		return float32(int32(rng%2000)-1000) / 250
 	}
+}
 
+// selfTestF32 proves a float32 kernel against microKernelGo on
+// pseudo-random inputs: strided A and C (the gaps must come through
+// untouched) and k counts that are odd, a single step, and longer than
+// the unroll. Results must match bitwise.
+func selfTestF32(f32 *jitKernel) error {
+	next := selfTestRNG()
 	for _, kc := range []int{1, 7, 96} {
-		a := make([]float32, kc*mr)
+		lda := kc + 5
+		a := make([]float32, (mr-1)*lda+kc)
 		b := make([]float32, kc*nr)
 		for i := range a {
 			a[i] = next()
@@ -461,21 +593,27 @@ func jitSelfTest(f32, i8, relu *jitKernel) error {
 			b[i] = next()
 		}
 		const ldc = nr + 3
-		got := make([]float32, mr*ldc)
-		want := make([]float32, mr*ldc)
+		got := make([]float32, (mr-1)*ldc+nr)
+		want := make([]float32, len(got))
 		for i := range got {
 			got[i] = next()
 			want[i] = got[i]
 		}
-		f32.callF32(a, b, got, kc, ldc)
-		microKernelGo(kc, a, b, want, ldc)
+		f32.callF32(kc, a, lda, b, got, ldc)
+		microKernelGo(kc, a, lda, b, want, ldc)
 		for i := range got {
 			if got[i] != want[i] {
-				return fmt.Errorf("f32 kernel kc=%d: c[%d] = %v, want %v", kc, i, got[i], want[i])
+				return fmt.Errorf("kc=%d: c[%d] = %v, want %v", kc, i, got[i], want[i])
 			}
 		}
 	}
+	return nil
+}
 
+// selfTestInt8ReLU proves the int8 and ReLU kernels against the portable
+// Go implementations; the int8 results must match exactly.
+func selfTestInt8ReLU(i8, relu *jitKernel) error {
+	next := selfTestRNG()
 	{
 		x := make([]float32, 4*reluBlock)
 		want := make([]float32, len(x))

@@ -9,9 +9,9 @@ package gemm
 
 type jitKernel struct{}
 
-func (*jitKernel) callF32(_, _, _ []float32, _, _ int)          {}
-func (*jitKernel) callInt8(_, _ []int8, _ []int32, _, _, _ int) {}
-func (*jitKernel) callReLU(_ []float32)                         {}
+func (*jitKernel) callF32(int, []float32, int, []float32, []float32, int) {}
+func (*jitKernel) callInt8([]int8, []int8, []int32, int, int, int)        {}
+func (*jitKernel) callReLU([]float32)                                     {}
 
 var jitKernels struct {
 	f32  *jitKernel

@@ -12,11 +12,12 @@ import (
 // The inference fast path lowers the CNN's forward pass onto the gemm math
 // core. Convolutions become im2col + GEMM (the [B, L, Cin] input unfolds
 // into a [B*L, K*Cin] matrix so the whole layer is one matrix product
-// against the [Out, K*Cin] filter bank), dense layers call GEMM directly,
-// and every intermediate buffer — im2col matrices, activations, quantized
-// tensors, GEMM packing panels — is carved from a per-worker Arena that is
-// reset between batches. After the first batch warms an arena to its
-// high-water mark, steady-state inference performs zero heap allocations.
+// against the [Out, K*Cin] filter bank) and dense layers call GEMM
+// directly, each against its weights packed once (Param.packedB). Every
+// intermediate buffer — im2col matrices, activations, quantized tensors,
+// GEMM scratch tiles — is carved from a per-worker Arena that is reset
+// between batches. After the first batch warms an arena to its high-water
+// mark, steady-state inference performs zero heap allocations.
 //
 // Training never touches this path: Forward(train=true) keeps the original
 // reference loops (which retain backward state), and the trainers are the
@@ -58,9 +59,8 @@ func im2colRows(dst, x []float32, r0, r1, l, in, k int) {
 }
 
 // convRowBlock is the number of im2col rows materialized per conv GEMM
-// call: large enough to amortize the per-call B packing, small enough
-// that the strip (convRowBlock × K·Cin floats) stays in the last-level
-// cache instead of round-tripping through DRAM.
+// call: small enough that the strip (convRowBlock × K·Cin floats) stays
+// in the last-level cache instead of round-tripping through DRAM.
 const convRowBlock = 512
 
 // fillBiasRows initializes each of the m rows of out with bias.
@@ -78,14 +78,14 @@ func fillBiasRows(out, bias []float32, m int) {
 func (c *Conv1D) forwardGEMM(x, out []float32, b, l int, ar *gemm.Arena) {
 	m := b * l
 	kIn := c.K * c.In
+	w := c.W.packedB(kIn, c.Out, kIn, true)
 	fillBiasRows(out, c.B.W, m)
 	mark := ar.Mark()
 	col := ar.F32Raw(min(m, convRowBlock) * kIn)
 	for r0 := 0; r0 < m; r0 += convRowBlock {
 		rows := min(convRowBlock, m-r0)
 		im2colRows(col, x, r0, r0+rows, l, c.In, c.K)
-		gemm.SGEMM(rows, c.Out, kIn, col[:rows*kIn], kIn, c.W.W, kIn, true,
-			out[r0*c.Out:], c.Out, ar)
+		gemm.SGEMMPacked(rows, col[:rows*kIn], kIn, w, out[r0*c.Out:], c.Out, ar)
 	}
 	ar.Release(mark)
 }
@@ -93,7 +93,26 @@ func (c *Conv1D) forwardGEMM(x, out []float32, b, l int, ar *gemm.Arena) {
 // forwardGEMM computes out (b rows, bias-initialized) += x · W.
 func (d *Dense) forwardGEMM(x, out []float32, b int, ar *gemm.Arena) {
 	fillBiasRows(out, d.B.W, b)
-	gemm.SGEMM(b, d.Out, d.In, x, d.In, d.W.W, d.Out, false, out, d.Out, ar)
+	gemm.SGEMMPacked(b, x, d.In, d.W.packedB(d.In, d.Out, d.Out, false), out, d.Out, ar)
+}
+
+// packedB returns W as the packed k×n right-hand GEMM operand (W is n×k
+// with transB), building it on first use; the stage workers that share a
+// network build it once. Answers are bitwise those of multiplying by W
+// unpacked. A paper-dimension tree model holds about 8.6 MB of packs,
+// mostly its six 320×1024 dense1 layers.
+func (p *Param) packedB(k, n, ldb int, transB bool) *gemm.PackedB {
+	if pb := p.pack.Load(); pb != nil {
+		return pb
+	}
+	p.packMu.Lock()
+	defer p.packMu.Unlock()
+	pb := p.pack.Load()
+	if pb == nil {
+		pb = gemm.PackB(k, n, p.W, ldb, transB)
+		p.pack.Store(pb)
+	}
+	return pb
 }
 
 // forwardInfer runs the whole network over a flattened [b, seqLen, embDim]

@@ -251,3 +251,67 @@ func TestIm2col(t *testing.T) {
 		}
 	}
 }
+
+// TestAdamStepDropsPackedWeights: the fast path packs each layer's
+// weights on first use. An optimizer step must drop those packs, so the
+// next prediction sees the stepped weights: bit for bit the answers of a
+// freshly decoded copy of the stepped network, on every backend.
+func TestAdamStepDropsPackedWeights(t *testing.T) {
+	const seqLen, embDim, conv1, conv2, hidden, classes = 9, 8, 6, 10, 24, 3
+	r := rand.New(rand.NewSource(5))
+	net := NewCNN(seqLen, embDim, conv1, conv2, hidden, classes, 13)
+	samples := randomBatch(r, 11, seqLen, embDim)
+	ctx := context.Background()
+	for _, backend := range gemm.BackendNames() {
+		t.Run(backend, func(t *testing.T) {
+			if err := gemm.Select(backend); err != nil {
+				t.Skipf("backend %s: %v", backend, err)
+			}
+			defer func() {
+				if err := gemm.Select("auto"); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			before, err := PredictNCtx(ctx, net, samples, seqLen, embDim, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			params := net.Params()
+			for _, p := range params {
+				for i := range p.G {
+					p.G[i] = r.Float32() - 0.5
+				}
+			}
+			NewAdam(0.05).Step(params)
+			after, err := PredictNCtx(ctx, net, samples, seqLen, embDim, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := EncodeCNN(net, seqLen, embDim, conv1, conv2, hidden, classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := DecodeCNN(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := PredictNCtx(ctx, fresh, samples, seqLen, embDim, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved := false
+			for i := range want {
+				for c := range want[i] {
+					if math.Float32bits(after[i][c]) != math.Float32bits(want[i][c]) {
+						t.Fatalf("sample %d class %d: stepped net %v, fresh decode %v (stale packed weights?)",
+							i, c, after[i][c], want[i][c])
+					}
+					moved = moved || after[i][c] != before[i][c]
+				}
+			}
+			if !moved {
+				t.Fatal("the Adam step did not change any prediction; the test proves nothing")
+			}
+		})
+	}
+}

@@ -157,6 +157,7 @@ func (a *Adam) Step(params []*Param) {
 			p.v[i] = b2*p.v[i] + (1-b2)*g*g
 			p.W[i] -= lr * p.m[i] / (sqrt32(p.v[i]) + eps)
 		}
+		p.pack.Store(nil)
 		p.zeroGrad()
 	}
 }

@@ -8,6 +8,10 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/gemm"
 )
 
 // Tensor is a dense row-major float32 tensor.
@@ -80,6 +84,12 @@ type Param struct {
 	G []float32
 	// Adam state.
 	m, v []float32
+
+	// pack caches W packed as the GEMM operand of the inference fast path
+	// (see packedB). Adam.Step, the only code that changes W of a network
+	// in use, drops it.
+	pack   atomic.Pointer[gemm.PackedB]
+	packMu sync.Mutex
 }
 
 func newParam(n int) *Param {
